@@ -10,9 +10,11 @@
 //     more than allocation counts do);
 //   - allocs/op is deterministic, so it is gated at -tolerance (default
 //     0.25) with no slack below one whole allocation;
-//   - a pkts_per_simsec metric, when both sides publish it, must match
-//     exactly: it counts simulated work, so a drift means the realization
-//     itself changed, not the performance.
+//   - deterministic work counts — pkts_per_simsec, events_per_simsec and
+//     peak_heap — must match exactly when both sides publish them: a
+//     drift in packets or events means the realization itself changed,
+//     and a drift in peak heap depth means the scheduler's work per event
+//     did, not the machine's speed.
 //
 // Only benchmarks matching -match participate; a matched baseline entry
 // that never appears in the bench output is itself a failure, so renaming
@@ -44,12 +46,28 @@ import (
 
 // stats is one measurement (or baseline) of one benchmark.
 type stats struct {
-	NsPerOp       float64 `json:"ns_per_op"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	PktsPerSimsec float64 `json:"pkts_per_simsec"`
-	// seen tracks which fields the bench output actually reported.
-	seenNs, seenAllocs, seenPkts bool
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Deterministic work counts (see exactMetrics).
+	PktsPerSimsec   float64 `json:"pkts_per_simsec"`
+	EventsPerSimsec float64 `json:"events_per_simsec"`
+	PeakHeap        float64 `json:"peak_heap"`
+	// seen tracks which fields the bench output actually reported; bit i
+	// of seenExact stands for exactMetrics[i].
+	seenNs, seenAllocs bool
+	seenExact          uint8
+}
+
+// exactMetrics are the deterministic work counts gated for equality: the
+// bench-output unit, the baseline key, and the field holding the value.
+var exactMetrics = [...]struct {
+	unit, key string
+	field     func(*stats) *float64
+}{
+	{"pkts/simsec", "pkts_per_simsec", func(s *stats) *float64 { return &s.PktsPerSimsec }},
+	{"events/simsec", "events_per_simsec", func(s *stats) *float64 { return &s.EventsPerSimsec }},
+	{"peak_heap", "peak_heap", func(s *stats) *float64 { return &s.PeakHeap }},
 }
 
 // baseline mirrors bench_baseline.json.
@@ -177,10 +195,18 @@ func check(base *baseline, measured map[string]stats, re *regexp.Regexp, nsTol, 
 			fmt.Fprintf(w, "%-4s %-36s allocs/op %10.0f  baseline %10.0f\n",
 				verdict, name, got.AllocsPerOp, want.AllocsPerOp)
 		}
-		if got.seenPkts && want.PktsPerSimsec > 0 && got.PktsPerSimsec != want.PktsPerSimsec {
-			problems = append(problems, fmt.Sprintf("pkts_per_simsec %g != baseline %g (realization drift)",
-				got.PktsPerSimsec, want.PktsPerSimsec))
-			fmt.Fprintf(w, "FAIL %-36s pkts_per_simsec %g != %g\n", name, got.PktsPerSimsec, want.PktsPerSimsec)
+		for i, m := range exactMetrics {
+			g, b := *m.field(&got), *m.field(&want)
+			if got.seenExact&(1<<i) == 0 || b <= 0 {
+				continue
+			}
+			verdict := "ok"
+			if g != b {
+				problems = append(problems, fmt.Sprintf("%s %g != baseline %g (deterministic work count drifted)",
+					m.key, g, b))
+				verdict = "FAIL"
+			}
+			fmt.Fprintf(w, "%-4s %-36s %s %g  baseline %g (exact)\n", verdict, name, m.key, g, b)
 		}
 		if len(problems) > 0 {
 			failures++
@@ -233,22 +259,30 @@ func parseBench(f io.Reader) (map[string]stats, error) {
 				run.BytesPerOp = v
 			case "allocs/op":
 				run.AllocsPerOp, run.seenAllocs = v, true
-			case "pkts/simsec", "pkts_per_simsec":
-				run.PktsPerSimsec, run.seenPkts = v, true
+			default:
+				for j, m := range exactMetrics {
+					if fields[i+1] == m.unit || fields[i+1] == m.key {
+						*m.field(&run) = v
+						run.seenExact |= 1 << j
+					}
+				}
 			}
 		}
 		// Fold runs of the same benchmark: minimum ns/op (least noise),
 		// maximum allocs/op (conservative — a real alloc regression shows
-		// in every run), latest pkts_per_simsec (deterministic).
+		// in every run), latest exact work counts (deterministic).
 		if run.seenNs && (!s.seenNs || run.NsPerOp < s.NsPerOp) {
 			s.NsPerOp, s.BytesPerOp, s.seenNs = run.NsPerOp, run.BytesPerOp, true
 		}
 		if run.seenAllocs && (!s.seenAllocs || run.AllocsPerOp > s.AllocsPerOp) {
 			s.AllocsPerOp, s.seenAllocs = run.AllocsPerOp, true
 		}
-		if run.seenPkts {
-			s.PktsPerSimsec, s.seenPkts = run.PktsPerSimsec, true
+		for j, m := range exactMetrics {
+			if run.seenExact&(1<<j) != 0 {
+				*m.field(&s) = *m.field(&run)
+			}
 		}
+		s.seenExact |= run.seenExact
 		out[name] = s
 	}
 	if err := sc.Err(); err != nil {

@@ -46,7 +46,7 @@ func TestParseBenchFoldsRuns(t *testing.T) {
 		t.Errorf("min ns/op = %v, want 16.9", sf.NsPerOp)
 	}
 	es := m["network.BenchmarkEmulatedSecond"]
-	if es.NsPerOp != 2850000 || es.AllocsPerOp != 943 || es.PktsPerSimsec != 3908 || !es.seenPkts {
+	if es.NsPerOp != 2850000 || es.AllocsPerOp != 943 || es.PktsPerSimsec != 3908 || es.seenExact&1 == 0 {
 		t.Errorf("EmulatedSecond folded wrong: %+v", es)
 	}
 }
@@ -103,5 +103,38 @@ func TestCheckMissingBenchmarkFails(t *testing.T) {
 	n, out := runCheck(t, simOnly, 0.25)
 	if n != 1 || !strings.Contains(out, "missing") {
 		t.Errorf("failures = %d\n%s", n, out)
+	}
+}
+
+// TestCheckExactWorkCountsFail pins the exact gates on the deterministic
+// work counts a benchmark reports beside pkts/simsec: a peak heap depth or
+// an event count off by one fails, the matching values pass.
+func TestCheckExactWorkCountsFail(t *testing.T) {
+	const bench = `pkg: starvation/internal/network
+BenchmarkEmulatedSecond1G-2   	  100	   6870997 ns/op	     36844 events/simsec	         7.000 peak_heap	     12280 pkts/simsec	 1854259 B/op	    4317 allocs/op
+`
+	base := &baseline{Benchmarks: map[string]struct {
+		Before stats `json:"before"`
+		After  stats `json:"after"`
+	}{
+		"network.BenchmarkEmulatedSecond1G": {After: stats{NsPerOp: 6.9e6, AllocsPerOp: 4317,
+			PktsPerSimsec: 12280, EventsPerSimsec: 36844, PeakHeap: 7}},
+	}}
+	for _, tc := range []struct {
+		name, from, to, want string
+	}{
+		{"match", "", "", ""},
+		{"peak heap", "7.000 peak_heap", "8.000 peak_heap", "peak_heap"},
+		{"events", "36844 events/simsec", "36845 events/simsec", "events_per_simsec"},
+	} {
+		m, err := parseBench(strings.NewReader(strings.Replace(bench, tc.from, tc.to, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		n := check(base, m, regexp.MustCompile("EmulatedSecond"), 0.25, 0.25, &out)
+		if tc.want == "" && n != 0 || tc.want != "" && (n != 1 || !strings.Contains(out.String(), tc.want)) {
+			t.Errorf("%s: failures = %d\n%s", tc.name, n, out.String())
+		}
 	}
 }

@@ -313,7 +313,7 @@ func runAll(ctx context.Context, jobs int, opts scenario.Opts) {
 	names := scenario.Names()
 	outputs := make([]string, len(names))
 	failed := make([]bool, len(names))
-	_ = runner.ForEach(ctx, jobs, len(names), func(ctx context.Context, i int) error {
+	_ = runner.ForEachWorker(ctx, jobs, len(names), func(ctx context.Context, _, i int) error {
 		o := opts
 		o.Ctx = ctx
 		start := time.Now()

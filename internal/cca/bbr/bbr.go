@@ -75,7 +75,8 @@ type BBR struct {
 
 	// Delivery-rate sampling.
 	delivered     int64
-	history       []histPoint // (time, delivered) samples
+	history       []histPoint // (time, delivered) samples; live from histHead
+	histHead      int         // first sample inside the history horizon
 	lastAckTime   time.Duration
 	lastRTpropRef time.Duration
 
@@ -243,28 +244,33 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 // BBR v1's conservation dynamics are immaterial to the experiments.
 func (b *BBR) OnLoss(cca.LossSignal) {}
 
+// pruneHistory drops samples older than the history horizon. It only
+// advances histHead; the dead prefix is compacted away once it is at least
+// as long as the live part, so each ACK costs O(1) amortized instead of a
+// copy of the whole history.
 func (b *BBR) pruneHistory(now time.Duration) {
 	keep := b.cfg.RTpropWindow + 5*time.Second
-	i := 0
-	for i < len(b.history) && now-b.history[i].t > keep {
-		i++
+	for b.histHead < len(b.history) && now-b.history[b.histHead].t > keep {
+		b.histHead++
 	}
-	if i > 0 {
-		b.history = append(b.history[:0], b.history[i:]...)
+	if live := len(b.history) - b.histHead; b.histHead > 0 && b.histHead >= live {
+		b.history = append(b.history[:0], b.history[b.histHead:]...)
+		b.histHead = 0
 	}
 }
 
-// deliveredAt returns the cumulative delivered count at the last history
-// point at or before t, along with that point's timestamp.
+// deliveredAt returns the cumulative delivered count at the last live
+// history point at or before t, along with that point's timestamp.
 func (b *BBR) deliveredAt(t time.Duration) (int64, time.Duration) {
-	if len(b.history) == 0 {
+	h := b.history[b.histHead:]
+	if len(h) == 0 {
 		return 0, 0
 	}
-	if t <= b.history[0].t {
-		return b.history[0].delivered, b.history[0].t
+	if t <= h[0].t {
+		return h[0].delivered, h[0].t
 	}
-	i := sort.Search(len(b.history), func(i int) bool { return b.history[i].t > t })
-	return b.history[i-1].delivered, b.history[i-1].t
+	i := sort.Search(len(h), func(i int) bool { return h[i].t > t })
+	return h[i-1].delivered, h[i-1].t
 }
 
 func (b *BBR) advance(now time.Duration, inflight int) {

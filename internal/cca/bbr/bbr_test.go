@@ -2,6 +2,7 @@ package bbr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,5 +190,70 @@ func TestIgnoresLoss(t *testing.T) {
 	b.OnLoss(cca.LossSignal{Now: 2 * time.Second, Bytes: 1500, NewEvent: true})
 	if b.Window() != w || b.PacingRate() != p {
 		t.Error("the §5.2 BBR model must not react to loss")
+	}
+}
+
+// ackAt100M returns the i-th ACK of a 100 Mbit/s stream (one 1500-byte
+// segment every 120 µs) with an RTT that wanders between 40 and 60 ms, so
+// both the delivery-rate lookup and the RTprop filter keep working.
+func ackAt100M(i int, rng *rand.Rand) cca.AckSignal {
+	const interval = 120 * time.Microsecond
+	rtt := 40*time.Millisecond + time.Duration(rng.Intn(20000))*time.Microsecond
+	return cca.AckSignal{Now: time.Duration(i+1) * interval, RTT: rtt, AckedBytes: 1500,
+		DeliveredBytes: 1500, Packets: 1, InFlight: int(12.5e6 * rtt.Seconds())}
+}
+
+// TestHistoryPruneMatchesNaive pins the amortized history pruning: over
+// 40 s of 100 Mbit/s ACKs — long enough past the 15 s history horizon for
+// the dead prefix to outgrow the live part and be compacted — every output
+// equals a reference that discards the dead prefix on every ACK (the
+// history the old per-ACK copy kept), and the history's capacity stays
+// proportional to its live samples.
+func TestHistoryPruneMatchesNaive(t *testing.T) {
+	b, ref := newTestBBR(), newTestBBR()
+	rng := rand.New(rand.NewSource(7))
+	n := int(40 * time.Second / (120 * time.Microsecond))
+	compactions := 0
+	for i := 0; i < n; i++ {
+		s := ackAt100M(i, rng)
+		head := b.histHead
+		b.OnAck(s)
+		if b.histHead < head {
+			compactions++
+		}
+		ref.OnAck(s)
+		ref.history, ref.histHead = ref.history[ref.histHead:], 0
+		if live := b.history[b.histHead:]; len(live) != len(ref.history) ||
+			(b.histHead < head && !slices.Equal(live, ref.history)) {
+			t.Fatalf("ack %d at %v: live history (%d samples) diverges from naive (%d)", i, s.Now, len(live), len(ref.history))
+		}
+		if b.Window() != ref.Window() || b.PacingRate() != ref.PacingRate() || b.BtlBw() != ref.BtlBw() {
+			t.Fatalf("ack %d at %v: window %d/%d pacing %v/%v btlbw %v/%v (amortized/naive)", i, s.Now,
+				b.Window(), ref.Window(), b.PacingRate(), ref.PacingRate(), b.BtlBw(), ref.BtlBw())
+		}
+	}
+	live := len(b.history) - b.histHead
+	if compactions == 0 {
+		t.Fatal("run never compacted; it does not reach past the history horizon")
+	}
+	if c := cap(b.history); c > 4*live {
+		t.Errorf("cap(history) = %d for %d live samples; want O(live)", c, live)
+	}
+}
+
+// BenchmarkOnAckPastHorizon measures BBR's per-ACK cost once a run has
+// passed the 15 s history horizon, where every ACK prunes a sample: 25 s
+// of 100 Mbit/s ACKs are fed untimed, then each op is one more ACK.
+func BenchmarkOnAckPastHorizon(b *testing.B) {
+	bb := newTestBBR()
+	rng := rand.New(rand.NewSource(7))
+	warm := int(25 * time.Second / (120 * time.Microsecond))
+	for i := 0; i < warm; i++ {
+		bb.OnAck(ackAt100M(i, rng))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bb.OnAck(ackAt100M(warm+i, rng))
 	}
 }

@@ -13,20 +13,20 @@ import (
 // whole round trip's propagation into one direction, which is equivalent
 // from the sender's point of view).
 type Propagation struct {
-	sim *sim.Simulator
-	d   time.Duration
-	out PacketHandler
+	sim  *sim.Simulator
+	d    time.Duration
+	line *sim.Line[packet.Packet]
 }
 
 // NewPropagation returns a fixed-delay element.
 func NewPropagation(s *sim.Simulator, d time.Duration, out PacketHandler) *Propagation {
-	return &Propagation{sim: s, d: d, out: out}
+	return &Propagation{sim: s, d: d, line: sim.NewLine(s, out)}
 }
 
-// Send delays p by the propagation time. The packet rides inline in the
-// event record (AfterPacket), so forwarding is allocation-free.
+// Send delays p by the propagation time. A fixed delay is FIFO, so the
+// packet waits in the element's delay line, allocation-free.
 func (pr *Propagation) Send(p packet.Packet) {
-	pr.sim.AfterPacket(pr.d, pr.out, p)
+	pr.line.Push(pr.sim.Now()+pr.d, p)
 }
 
 // DelayBox is the paper's per-flow non-congestive delay element for data
@@ -40,11 +40,12 @@ type DelayBox struct {
 	lastRelease time.Duration
 	inTransit   int64
 
-	// deliverFn/releaseFn are the deliver and release methods bound once at
-	// construction so the per-packet scheduling calls pass an existing func
-	// value instead of allocating a method-value closure each time.
-	deliverFn func(packet.Packet)
-	releaseFn func(packet.Packet)
+	// arrivals holds packets in the SendAfter extra-delay stage and
+	// releases packets held for their policy delay. Both are FIFO (a
+	// constant extra delay; release times clamped monotone), so each is a
+	// delay line with one heap record however many packets it holds.
+	arrivals *sim.Line[packet.Packet]
+	releases *sim.Line[packet.Packet]
 
 	// MaxApplied records the largest delay actually applied, for checking
 	// that a scenario stayed within its declared bound D.
@@ -59,15 +60,15 @@ func (b *DelayBox) InTransit() int64 { return b.inTransit }
 // NewDelayBox returns a delay element applying the given policy.
 func NewDelayBox(s *sim.Simulator, p jitter.Policy, out PacketHandler) *DelayBox {
 	b := &DelayBox{sim: s, policy: p, out: out}
-	b.deliverFn = b.deliver
-	b.releaseFn = b.release
+	b.arrivals = sim.NewLine(s, b.deliver)
+	b.releases = sim.NewLine(s, b.release)
 	return b
 }
 
 // Reset returns the box to the state NewDelayBox(s, p, out) would produce,
-// keeping the bound callbacks. Packets held at reset time are abandoned
-// (the caller resets the shared simulator first, which drops their release
-// events), so the in-transit gauge restarts at zero.
+// keeping its delay lines. Packets held at reset time are abandoned (the
+// caller resets the shared simulator first, which empties the lines), so
+// the in-transit gauge restarts at zero.
 func (b *DelayBox) Reset(p jitter.Policy) {
 	b.policy = p
 	b.lastRelease = 0
@@ -90,7 +91,7 @@ func (b *DelayBox) SendAfter(p packet.Packet, extra time.Duration) {
 		b.deliver(p)
 		return
 	}
-	b.sim.AfterPacket(extra, b.deliverFn, p)
+	b.arrivals.Push(b.sim.Now()+extra, p)
 }
 
 func (b *DelayBox) deliver(p packet.Packet) {
@@ -112,7 +113,7 @@ func (b *DelayBox) deliver(p packet.Packet) {
 		release = b.lastRelease // preserve FIFO order within the flow
 	}
 	b.lastRelease = release
-	b.sim.AtPacket(release, b.releaseFn, p)
+	b.releases.Push(release, p)
 }
 
 // release hands a held packet downstream at its scheduled release time.
@@ -123,9 +124,9 @@ func (b *DelayBox) release(p packet.Packet) {
 
 // AckDelayBox is the same element for the reverse (ACK) path.
 type AckDelayBox struct {
-	sim    *sim.Simulator
-	policy jitter.Policy
-	out    AckHandler
+	sim      *sim.Simulator
+	policy   jitter.Policy
+	releases *sim.Line[packet.Ack]
 
 	lastRelease time.Duration
 	MaxApplied  time.Duration
@@ -133,7 +134,7 @@ type AckDelayBox struct {
 
 // NewAckDelayBox returns an ACK-path delay element applying the policy.
 func NewAckDelayBox(s *sim.Simulator, p jitter.Policy, out AckHandler) *AckDelayBox {
-	return &AckDelayBox{sim: s, policy: p, out: out}
+	return &AckDelayBox{sim: s, policy: p, releases: sim.NewLine(s, out)}
 }
 
 // Reset returns the box to the state NewAckDelayBox(s, p, out) would
@@ -159,5 +160,5 @@ func (b *AckDelayBox) Send(a packet.Ack) {
 		release = b.lastRelease
 	}
 	b.lastRelease = release
-	b.sim.AtAck(release, b.out, a)
+	b.releases.Push(release, a)
 }

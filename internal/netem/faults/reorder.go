@@ -43,9 +43,9 @@ type Reorderer struct {
 	probe obs.Probe
 	held  int64
 
-	// releaseFn is the release method bound once so deferrals schedule
-	// without a per-packet closure allocation.
-	releaseFn func(packet.Packet)
+	// deferred holds the deferred packets: the delay is fixed, so they
+	// release in FIFO order from one delay line.
+	deferred *sim.Line[packet.Packet]
 
 	Passed   int64 // packets forwarded in order
 	Deferred int64 // packets deliberately deferred
@@ -54,7 +54,7 @@ type Reorderer struct {
 // NewReorderer returns a reordering element feeding out.
 func NewReorderer(cfg ReorderConfig, rng *rand.Rand, s *sim.Simulator, out netem.PacketHandler) *Reorderer {
 	r := &Reorderer{cfg: cfg, rng: rng, sim: s, out: out}
-	r.releaseFn = r.release
+	r.deferred = sim.NewLine(s, r.release)
 	return r
 }
 
@@ -87,7 +87,7 @@ func (r *Reorderer) Send(p packet.Packet) {
 			r.probe.Emit(obs.Event{Type: obs.EvReorder, At: r.sim.Now(), Flow: p.Flow,
 				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
 		}
-		r.sim.AfterPacket(r.cfg.Delay, r.releaseFn, p)
+		r.deferred.Push(r.sim.Now()+r.cfg.Delay, p)
 		return
 	}
 	r.Passed++

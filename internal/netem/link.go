@@ -39,19 +39,15 @@ type Link struct {
 	queuedBytes   int
 	lastDeparture time.Duration
 
-	// departFn is departHead bound once at construction: the hot enqueue
-	// path passes it to the scheduler instead of re-binding the method
-	// value (which would allocate a closure per packet).
-	departFn func()
-
-	// pending[head:] are the queued packets in FIFO order, each with the
-	// handle of its scheduled departure so SetRate can reschedule them. At
-	// a constant rate this registry is pure bookkeeping: departures are
-	// computed at enqueue time exactly as they always were, so fixed-seed
-	// realizations are unchanged.
-	pending []linkPend
-	head    int
-	down    bool // rate is 0: nothing departs until SetRate(>0)
+	// departs holds the queued packets in FIFO order, each under its
+	// departure time: only the head sits in the event heap, whatever the
+	// backlog. Departures are computed at enqueue time exactly as they
+	// always were, so fixed-seed realizations are unchanged.
+	departs *sim.Line[packet.Packet]
+	// held are the packets queued while the link is down; SetRate
+	// schedules them when it comes back up.
+	held []packet.Packet
+	down bool // rate is 0: nothing departs until SetRate(>0)
 
 	// Stats.
 	Delivered     int64 // packets delivered
@@ -62,12 +58,6 @@ type Link struct {
 	EnqueuedBytes int64 // bytes accepted into the queue
 	RateChanges   int64 // SetRate calls that changed the drain rate
 	perFlow       []FlowLinkStats
-}
-
-type linkPend struct {
-	pkt    packet.Packet
-	handle sim.Handle
-	depart time.Duration
 }
 
 // FlowLinkStats breaks the link's counters down by owning flow.
@@ -87,7 +77,7 @@ type FlowLinkStats struct {
 // delivers departing packets to out.
 func NewLink(s *sim.Simulator, rate units.Rate, bufferBytes int, out PacketHandler) *Link {
 	l := &Link{sim: s, rate: rate, buf: bufferBytes, out: out}
-	l.departFn = l.departHead
+	l.departs = sim.NewLine(s, l.depart)
 	return l
 }
 
@@ -96,10 +86,9 @@ func NewLink(s *sim.Simulator, rate units.Rate, bufferBytes int, out PacketHandl
 func (l *Link) SetECNThreshold(thresholdBytes int) { l.ecn = thresholdBytes }
 
 // Reset returns the link to the state NewLink(s, rate, bufferBytes, out)
-// would produce, keeping the queue registry and per-flow counter capacity
-// and the bound departure callback. The caller must reset the shared
-// simulator first: queued departure events are abandoned wholesale (their
-// handles went stale with the simulator reset), not cancelled one by one.
+// would produce, keeping the queue and per-flow counter capacity. The
+// caller must reset the shared simulator first: it empties the departure
+// line wholesale rather than cancelling departures one by one.
 // ECN threshold, marker, and probe are cleared; reinstall them after.
 func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.rate = rate
@@ -109,8 +98,7 @@ func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.probe = nil
 	l.queuedBytes = 0
 	l.lastDeparture = 0
-	l.pending = l.pending[:0]
-	l.head = 0
+	l.held = l.held[:0]
 	l.down = false
 	l.Delivered, l.Dropped, l.Marked = 0, 0, 0
 	l.MaxQueue = 0
@@ -164,33 +152,31 @@ func (l *Link) SetRate(r units.Rate) {
 			Seq: int64(r), Queue: l.queuedBytes})
 	}
 	if r == 0 {
-		for i := l.head; i < len(l.pending); i++ {
-			l.pending[i].handle.Cancel()
-		}
+		l.held = l.departs.Clear(l.held)
 		l.down = true
 		return
 	}
+	headDepart, _ := l.departs.Head()
+	l.held = l.departs.Clear(l.held)
 	prev := now
-	for i := l.head; i < len(l.pending); i++ {
-		pe := &l.pending[i]
-		pe.handle.Cancel()
+	for i, p := range l.held {
 		var tx time.Duration
-		if i == l.head && !l.down {
+		if i == 0 && !l.down {
 			// Head keeps its progress: scale the remaining time.
-			if rem := pe.depart - now; rem > 0 {
+			if rem := headDepart - now; rem > 0 {
 				tx = time.Duration(float64(rem) * float64(old) / float64(r))
 			}
 		} else {
-			tx = r.TxTime(pe.pkt.Size)
+			tx = r.TxTime(p.Size)
 		}
 		prev += tx
-		pe.depart = prev
-		pe.handle = l.sim.At(prev, l.departFn)
+		l.departs.Push(prev, p)
 	}
 	l.down = false
-	if l.head < len(l.pending) {
+	if len(l.held) > 0 {
 		l.lastDeparture = prev
 	}
+	l.held = l.held[:0]
 }
 
 // QueuedBytes returns the bytes currently waiting or in transmission.
@@ -280,29 +266,14 @@ func (l *Link) Enqueue(p packet.Packet) {
 	}
 	if l.down {
 		// Held until the link comes back up; SetRate schedules it then.
-		l.pending = append(l.pending, linkPend{pkt: p})
+		l.held = append(l.held, p)
 		return
 	}
-	handle := l.sim.At(depart, l.departFn)
-	l.pending = append(l.pending, linkPend{pkt: p, handle: handle, depart: depart})
+	l.departs.Push(depart, p)
 }
 
-// departHead completes serialization of the oldest queued packet. All
-// departure events route here: the pending registry is FIFO and departures
-// are scheduled in FIFO order, so the firing event always belongs to the
-// head entry.
-func (l *Link) departHead() {
-	p := l.pending[l.head].pkt
-	l.pending[l.head] = linkPend{}
-	l.head++
-	if l.head == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.head = 0
-	} else if l.head >= 64 && l.head*2 >= len(l.pending) {
-		n := copy(l.pending, l.pending[l.head:])
-		l.pending = l.pending[:n]
-		l.head = 0
-	}
+// depart completes serialization of the oldest queued packet.
+func (l *Link) depart(p packet.Packet) {
 	l.queuedBytes -= p.Size
 	l.Delivered++
 	fs := l.flow(p.Flow)

@@ -8,6 +8,18 @@ import (
 	"starvation/internal/units"
 )
 
+// emulatedSecond runs the BenchmarkEmulatedSecond workload — two Vegas
+// flows, Rm 50 ms, one emulated second — over a bottleneck of the given
+// rate.
+func emulatedSecond(rate units.Rate) (*Network, *Result) {
+	n := New(
+		Config{Rate: rate, Seed: 1},
+		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
+		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
+	)
+	return n, n.Run(time.Second)
+}
+
 // BenchmarkEmulatedSecond measures end-to-end emulator speed: how much
 // wall-clock time one simulated second of a loaded two-flow path costs.
 // The figure-regeneration harness simulates tens of minutes of virtual
@@ -15,15 +27,40 @@ import (
 func BenchmarkEmulatedSecond(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := New(
-			Config{Rate: units.Mbps(100), Seed: 1},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-		)
-		res := n.Run(time.Second)
-		pkts := float64(res.Delivered)
-		b.ReportMetric(pkts, "pkts/simsec")
+		_, res := emulatedSecond(units.Mbps(100))
+		b.ReportMetric(float64(res.Delivered), "pkts/simsec")
 	}
+}
+
+// BenchmarkEmulatedSecond1G is the same workload at 1 Gbit/s, where the
+// bandwidth-delay product is ten times larger. events/simsec and
+// peak_heap are deterministic work counts: benchcheck gates both exactly,
+// and peak_heap must not grow with the link rate (every per-packet stage
+// is a delay line with one heap record).
+func BenchmarkEmulatedSecond1G(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, res := emulatedSecond(units.Gbps(1))
+		st := n.Sim.Stats()
+		b.ReportMetric(float64(res.Delivered), "pkts/simsec")
+		b.ReportMetric(float64(st.Fired), "events/simsec")
+		b.ReportMetric(float64(st.HeapMax), "peak_heap")
+	}
+}
+
+// TestHeapDepthIndependentOfRate pins the point of the delay lines: the
+// event heap holds one record per busy element, not one per in-flight
+// packet, so its peak depth is the same at 100 Mbit/s and 1 Gbit/s even
+// though the number of pending events grows with the bandwidth-delay
+// product.
+func TestHeapDepthIndependentOfRate(t *testing.T) {
+	n100, _ := emulatedSecond(units.Mbps(100))
+	n1g, _ := emulatedSecond(units.Gbps(1))
+	h100, h1g := n100.Sim.Stats().HeapMax, n1g.Sim.Stats().HeapMax
+	if h1g != h100 || h1g > 32 {
+		t.Errorf("peak heap: %d at 1 Gbit/s, %d at 100 Mbit/s; want equal and <= 32", h1g, h100)
+	}
+	t.Logf("peak heap %d (100 Mbit/s) %d (1 Gbit/s)", h100, h1g)
 }
 
 // BenchmarkEmulatedSecondTelemetry is the same workload with the flight

@@ -175,7 +175,7 @@ func (n *Network) collect(d, from, to time.Duration) *Result {
 	res.Obs = n.snapshot()
 	res.Ledger = n.ledger()
 	if n.telemetry != nil {
-		res.Telemetry = n.telemetry.finish(d, n.Flows)
+		res.Telemetry = n.telemetry.finish(d, n.Flows, n.Sim.Stats().HeapMax)
 	}
 	if n.cfg.Guard != nil {
 		// Fold the end-of-run checks into the report: a final progress

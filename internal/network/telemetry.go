@@ -75,9 +75,13 @@ type FlowTelemetry struct {
 type SelfStats struct {
 	// Ticks counts self-samples (one per trace-sampling interval).
 	Ticks int64 `json:"ticks"`
-	// SimQueueMax/SimQueueLast gauge the event-queue depth.
+	// SimQueueMax/SimQueueLast gauge the pending-event count (delay-line
+	// entries included).
 	SimQueueMax  int `json:"sim_queue_max"`
 	SimQueueLast int `json:"sim_queue_last"`
+	// SimHeapMax is the peak event-heap length over the run (sim.Stats
+	// HeapMax): the depth the scheduler actually sifts through.
+	SimHeapMax int `json:"sim_heap_max"`
 	// HeapAllocBytes/TotalAllocs/NumGC are process-wide memory counters
 	// at collection time.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
@@ -187,7 +191,7 @@ func (r *telemetryRecorder) enterPhase(p int, now time.Duration) {
 // finish closes partial windows and open episodes at the horizon and
 // assembles the result. The single ReadMemStats lives here, after the
 // last simulated event.
-func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow) *TelemetryResult {
+func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow, heapMax int) *TelemetryResult {
 	r.sampler.Flush(d)
 	r.det.Flush(d)
 	if n := len(r.phases); n > 0 {
@@ -198,6 +202,7 @@ func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow) *TelemetryRes
 	r.self.HeapAllocBytes = ms.HeapAlloc
 	r.self.TotalAllocs = ms.Mallocs
 	r.self.NumGC = ms.NumGC
+	r.self.SimHeapMax = heapMax
 
 	tr := &TelemetryResult{
 		Window:    r.window,
@@ -287,6 +292,7 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 		{"starvesim_fair_share_bps", "Per-flow fair share of the bottleneck.", "gauge", tr.FairShare},
 		{"starvesim_self_ticks_total", "Self-telemetry samples taken.", "counter", float64(tr.Self.Ticks)},
 		{"starvesim_self_sim_queue_max", "High-water mark of the simulator's pending-event queue.", "gauge", float64(tr.Self.SimQueueMax)},
+		{"starvesim_self_sim_heap_max", "Peak length of the simulator's event heap (one record per busy delay line, not per pending event).", "gauge", float64(tr.Self.SimHeapMax)},
 		{"starvesim_self_heap_alloc_bytes", "Live heap at end of run (runtime.ReadMemStats, off the hot path).", "gauge", float64(tr.Self.HeapAllocBytes)},
 	}
 	for _, g := range globals {

@@ -280,15 +280,19 @@ func TestPoolDuplicateID(t *testing.T) {
 	})
 }
 
-// TestForEach covers the parallel loop helper: full coverage of indices,
-// inline execution at workers=1, and deterministic first-by-index error.
+// TestForEach covers the parallel loop helper ForEachWorker: full
+// coverage of indices, worker ids in range, and deterministic
+// first-by-index error.
 func TestForEach(t *testing.T) {
 	var hits [32]atomic.Int64
-	if err := ForEach(context.Background(), 4, len(hits), func(_ context.Context, i int) error {
+	if err := ForEachWorker(context.Background(), 4, len(hits), func(_ context.Context, w, i int) error {
+		if w < 0 || w >= Workers(4, len(hits)) {
+			return fmt.Errorf("index %d ran on worker %d", i, w)
+		}
 		hits[i].Add(1)
 		return nil
 	}); err != nil {
-		t.Fatalf("ForEach: %v", err)
+		t.Fatalf("ForEachWorker: %v", err)
 	}
 	for i := range hits {
 		if hits[i].Load() != 1 {
@@ -298,7 +302,7 @@ func TestForEach(t *testing.T) {
 
 	// First error by index, not completion order: the error at index 2
 	// must win over the one at index 9 even though 9 may finish first.
-	err := ForEach(context.Background(), 4, 16, func(_ context.Context, i int) error {
+	err := ForEachWorker(context.Background(), 4, 16, func(_ context.Context, _, i int) error {
 		switch i {
 		case 2:
 			time.Sleep(10 * time.Millisecond)
@@ -309,6 +313,6 @@ func TestForEach(t *testing.T) {
 		return nil
 	})
 	if err == nil || err.Error() != "err-2" {
-		t.Errorf("ForEach error = %v, want err-2 (first by index)", err)
+		t.Errorf("ForEachWorker error = %v, want err-2 (first by index)", err)
 	}
 }

@@ -516,18 +516,6 @@ func (env execEnv) record(id, fp string, status JobStatus, rerr *guard.RunError,
 	}
 }
 
-// ForEach runs fn(ctx, i) for i in [0, n) on a bounded worker pool and
-// returns the first error by index (not by completion time, so the
-// result is deterministic). It is the lightweight in-memory sibling of
-// Pool.Run for parallel loops inside a measurement — sweep points, seed
-// sweeps — where results land in caller-owned slices indexed by i.
-// workers ≤ 1 runs inline, preserving strict sequential semantics.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return ForEachWorker(ctx, workers, n, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i)
-	})
-}
-
 // Workers returns the effective worker count ForEachWorker uses for the
 // given request: workers (0 selecting GOMAXPROCS) capped at n, floored at
 // one. Callers that pre-size per-worker scratch state — recycled
@@ -545,8 +533,12 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// ForEachWorker is ForEach with the worker's identity threaded through:
-// fn(ctx, worker, i) with worker in [0, Workers(workers, n)). Every index
+// ForEachWorker runs fn(ctx, worker, i) for i in [0, n) on a bounded
+// worker pool and returns the first error by index (not by completion
+// time, so the result is deterministic). It is the lightweight in-memory
+// sibling of Pool.Run for parallel loops inside a measurement — sweep
+// points, seed sweeps — where results land in caller-owned slices indexed
+// by i. worker is in [0, Workers(workers, n)). Every index
 // i runs on exactly one worker, and each worker id is served by exactly
 // one goroutine, so fn may keep per-worker scratch state (a recycled
 // network.Session, a reused buffer) in a slice indexed by worker with no

@@ -80,6 +80,11 @@ type Server struct {
 	rootCancel context.CancelFunc
 	workersWG  sync.WaitGroup
 
+	// beforeArtifactWrite, when set (tests only), runs just before a
+	// job's artifact is written, letting a test hold one job's write
+	// while others complete.
+	beforeArtifactWrite func(batchID, job string)
+
 	mu       sync.Mutex
 	batches  map[string]*batch
 	order    []string // admission order, for listings
@@ -345,17 +350,51 @@ func (s *Server) execute(b *batch, idx int) {
 		}
 	}
 	res := s.pool.Execute(b.ctx, ex)
-	if res.Err == nil {
-		if err := s.writeArtifact(b, bj.Name, res.Artifact); err != nil {
-			s.logf("service: %s/%s: writing artifact: %v", b.rec.ID, bj.Name, err)
+	s.complete(b, bj.Name, res)
+}
+
+// complete is the one place a job becomes terminal. Its order is the
+// batch's durability contract: the artifact is renamed into place, then
+// the job is accounted, then its terminal event is published, and only
+// then may the batch finalize — so a "done" event, BatchStatus.Done and
+// the artifact directory never disagree, however workers interleave.
+func (s *Server) complete(b *batch, name string, res runner.JobResult) {
+	typ, errMsg := "done", ""
+	if res.Err != nil {
+		typ, errMsg = "failed", res.Err.Error()
+	} else {
+		if s.beforeArtifactWrite != nil {
+			s.beforeArtifactWrite(b.rec.ID, name)
+		}
+		if err := s.writeArtifact(b, name, res.Artifact); err != nil {
+			s.logf("service: %s/%s: writing artifact: %v", b.rec.ID, name, err)
+			typ, errMsg = "failed", "writing artifact: "+err.Error()
+		} else if res.Cached {
+			typ = "cached"
 		}
 	}
 	b.mu.Lock()
 	b.running--
-	terminal := b.done >= len(b.rec.Jobs)
+	b.done++
+	switch typ {
+	case "failed":
+		b.failed++
+	case "cached":
+		b.cached++
+		b.succeeded++
+	default:
+		b.succeeded++
+	}
+	done, total := b.done, len(b.rec.Jobs)
 	b.mu.Unlock()
+	b.hub.Publish(Event{
+		Batch: b.rec.ID, Type: typ, Job: name,
+		Done: done, Total: total, Attempt: res.Attempts,
+		ElapsedMs: res.Elapsed.Milliseconds(), Err: errMsg,
+	})
+	s.mEvents.Add(typ, 1)
 	s.mJobs.Add(b.rec.Client, 1)
-	if terminal {
+	if done >= total {
 		s.finalize(b)
 	}
 }
@@ -383,32 +422,19 @@ func (s *Server) writeArtifact(b *batch, name string, data []byte) error {
 	return os.Rename(tmp.Name(), b.artifactPath(name))
 }
 
-// onProgress folds a runner progress event into batch accounting and the
-// batch's event stream. Terminal kinds advance Done; Start/Retry don't.
+// onProgress streams a job's non-terminal progress (start, retry); its
+// terminal outcome is published by complete.
 func (s *Server) onProgress(b *batch, ev runner.ProgressEvent) {
 	var typ string
-	b.mu.Lock()
 	switch ev.Kind {
 	case runner.ProgressStart:
 		typ = "start"
 	case runner.ProgressRetry:
 		typ = "retry"
-	case runner.ProgressDone:
-		typ = "done"
-		b.done++
-		b.succeeded++
-	case runner.ProgressCached:
-		typ = "cached"
-		b.done++
-		b.succeeded++
-		b.cached++
-	case runner.ProgressFailed:
-		typ = "failed"
-		b.done++
-		b.failed++
 	default:
-		typ = ev.Kind.String()
+		return
 	}
+	b.mu.Lock()
 	done, total := b.done, len(b.rec.Jobs)
 	b.mu.Unlock()
 	out := Event{

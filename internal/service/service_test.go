@@ -573,3 +573,91 @@ func TestServiceMetricsAndDebug(t *testing.T) {
 		t.Fatal("dashboard did not render")
 	}
 }
+
+// TestServiceDoneMeansDurable pins the single completion site. Job a's
+// artifact write is held while job b completes: b's "done" event must not
+// finalize the batch, and once the batch reports batch-done every job's
+// artifact is on disk. The interleaving is forced by the write hook, not
+// by timing.
+func TestServiceDoneMeansDurable(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2}, false)
+	hold := make(chan struct{})
+	var release sync.Once
+	unhold := func() { release.Do(func() { close(hold) }) }
+	t.Cleanup(unhold) // runs before Drain, so a failed test cannot wedge a worker
+	s.beforeArtifactWrite = func(_, job string) {
+		if job == "a" {
+			<-hold
+		}
+	}
+	s.Start()
+	code, out, _ := postBatch(t, ts.URL,
+		`{"client":"alice","jobs":[`+testJobJSON("a", 21)+`,`+testJobJSON("b", 22)+`]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, out)
+	}
+	id := out["id"].(string)
+	b, ok := s.Batch(id)
+	if !ok {
+		t.Fatalf("batch %s missing", id)
+	}
+
+	var seen []Event
+	follow := func(want func(Event) bool) Event {
+		t.Helper()
+		deadline := time.After(30 * time.Second)
+		for {
+			evs, wait, open := b.hub.Next(len(seen))
+			for _, ev := range evs {
+				seen = append(seen, ev)
+				if want(ev) {
+					return ev
+				}
+			}
+			if len(evs) > 0 {
+				continue
+			}
+			if !open {
+				t.Fatalf("event stream closed early: %+v", seen)
+			}
+			select {
+			case <-wait:
+			case <-deadline:
+				t.Fatalf("timed out; events so far: %+v", seen)
+			}
+		}
+	}
+
+	ev := follow(func(ev Event) bool { return ev.Type == "done" || ev.Type == "batch-done" })
+	if ev.Job != "b" || ev.Done != 1 || ev.Total != 2 {
+		t.Fatalf("first terminal event %+v, want job b done 1/2 while a's write is held", ev)
+	}
+	if st := b.status(); st.State.Terminal() || st.Done != 1 || st.Running != 1 {
+		t.Fatalf("status with a's write held: %+v", st)
+	}
+	if _, err := os.Stat(b.artifactPath("b")); err != nil {
+		t.Fatalf("b reported done without its artifact: %v", err)
+	}
+
+	unhold()
+	ev = follow(func(ev Event) bool { return ev.Type == "batch-done" })
+	if ev.Done != 2 {
+		t.Fatalf("batch-done %+v", ev)
+	}
+	var doneJobs []string
+	for _, e := range seen {
+		if e.Type == "done" {
+			doneJobs = append(doneJobs, e.Job)
+		}
+	}
+	if len(doneJobs) != 2 || doneJobs[0] != "b" || doneJobs[1] != "a" {
+		t.Fatalf("done events for %v, want [b a] before batch-done", doneJobs)
+	}
+	for _, job := range []string{"a", "b"} {
+		resp, err := http.Get(ts.URL + "/batches/" + id + "/artifacts/" + job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp) // fails on a 404: done without a durable artifact
+	}
+}
