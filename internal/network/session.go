@@ -204,6 +204,7 @@ func (n *Network) reset(cfg Config, specs []FlowSpec) {
 			link.SetMarker(ls.Marker)
 		}
 		link.SetProbe(cfg.Probe)
+		n.ensureHop(j) // hop delays are resettable, so one may appear now
 	}
 	n.Link = n.Links[cfg.Bottleneck]
 	for j := range n.linkSpecs {

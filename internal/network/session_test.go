@@ -100,6 +100,40 @@ func TestSessionParameterChangesReset(t *testing.T) {
 	}
 }
 
+// TestSessionHopDelayAppearsOnReset: a hop delay is a resettable
+// parameter, and a link builds its hop delay line only once it has one. A
+// session that first runs a parking lot with zero hop delay and then the
+// same shape with a real one must match a fresh network of the second.
+func TestSessionHopDelayAppearsOnReset(t *testing.T) {
+	lot := func(hop time.Duration) goldenConfig {
+		gc := sessionScenario(5, 0)
+		gc.cfg.BufferBytes = 0
+		gc.cfg.Links = ParkingLot(2, units.Mbps(20), 32*1500, hop)
+		return gc
+	}
+	hash := func(gc goldenConfig) string {
+		n := New(gc.cfg, gc.specs...)
+		return hashResult(t, n.Run(gc.d))
+	}
+	want := hash(lot(3 * time.Millisecond))
+	if want == hash(lot(0)) {
+		t.Fatal("the hop delay should change the realization")
+	}
+	s := NewSession()
+	for i, hop := range []time.Duration{0, 3 * time.Millisecond} {
+		gc := lot(hop)
+		res, err := s.Run(gc.cfg, gc.d, gc.specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hop > 0 {
+			if h := hashResult(t, res); h != want {
+				t.Errorf("run %d: reused session got %s, fresh network %s", i, h, want)
+			}
+		}
+	}
+}
+
 // TestSessionGuardParity pins that guarded session runs match guarded
 // fresh runs (the monitor is recycled via Reset), and that toggling the
 // guard off between runs leaves no monitor behind.
