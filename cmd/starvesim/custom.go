@@ -80,7 +80,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 	if f.ackAggregate > 0 {
 		spec1.Ack = endpoint.AckConfig{AggregatePeriod: f.ackAggregate}
 	}
-	var rateSched *faults.RateSchedule
+	links := network.SingleBottleneck(units.Mbps(f.rateMbps), f.bufferPkts*endpoint.DefaultMSS)
 	if f.faultsSpec != "" {
 		prof, err := faults.ParseProfile(f.faultsSpec)
 		if err != nil {
@@ -89,7 +89,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 		if !prof.Flow.Empty() {
 			spec1.Faults = &prof.Flow
 		}
-		rateSched = prof.Link
+		links[0].RateSchedule = prof.Link
 	}
 
 	specs := []network.FlowSpec{spec1}
@@ -102,14 +102,12 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 	}
 
 	cfg := network.Config{
-		Rate:         units.Mbps(f.rateMbps),
-		BufferBytes:  f.bufferPkts * endpoint.DefaultMSS,
-		RateSchedule: rateSched,
-		Guard:        f.guard,
-		Seed:         f.seed,
-		Probe:        probe,
-		Telemetry:    f.telemetry,
-		Ctx:          f.ctx,
+		Links:     links,
+		Guard:     f.guard,
+		Seed:      f.seed,
+		Probe:     probe,
+		Telemetry: f.telemetry,
+		Ctx:       f.ctx,
 	}
 	// NewChecked, not New: a malformed CLI config is a usage error the
 	// caller reports in one line (exit 2), not a panic trace.

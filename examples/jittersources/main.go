@@ -73,7 +73,7 @@ func main() {
 			},
 		}
 		n := network.New(
-			network.Config{Rate: units.Mbps(24), Seed: 4},
+			network.Config{Links: network.SingleBottleneck(units.Mbps(24), 0), Seed: 4},
 			network.FlowSpec{Name: name, Alg: vegas.New(vegas.Config{}),
 				Rm: 60 * time.Millisecond, FwdJitter: delayed},
 		)

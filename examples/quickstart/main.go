@@ -22,8 +22,8 @@ import (
 func main() {
 	net := network.New(
 		network.Config{
-			Rate: units.Mbps(48),
-			Seed: 1,
+			Links: network.SingleBottleneck(units.Mbps(48), 0),
+			Seed:  1,
 		},
 		network.FlowSpec{
 			Name: "early",

@@ -28,7 +28,7 @@ func TestConstWindowIsNotFEfficient(t *testing.T) {
 	// vanishes as C grows — exactly why the theorem excludes it.
 	for _, c := range []units.Rate{units.Mbps(12), units.Mbps(120)} {
 		n := network.New(
-			network.Config{Rate: c, Seed: 1},
+			network.Config{Links: network.SingleBottleneck(c, 0), Seed: 1},
 			network.FlowSpec{Alg: New(1500, 10), Rm: 100 * time.Millisecond},
 		)
 		res := n.Run(10 * time.Second)

@@ -102,7 +102,7 @@ func TestEndToEndConvergence(t *testing.T) {
 	// On an ideal path Verus must utilize the link and keep delay bounded
 	// near R·Rm — delay-convergent per Definition 1.
 	n := network.New(
-		network.Config{Rate: units.Mbps(24), Seed: 1},
+		network.Config{Links: network.SingleBottleneck(units.Mbps(24), 0), Seed: 1},
 		network.FlowSpec{Name: "verus", Alg: New(Config{}), Rm: 50 * time.Millisecond},
 	)
 	res := n.Run(30 * time.Second)

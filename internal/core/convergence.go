@@ -105,7 +105,7 @@ func (o *MeasureOpts) fill() {
 func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureOpts) *Convergence {
 	opts.fill()
 	alg := f()
-	cfg := network.Config{Rate: c, Seed: opts.Seed, Ctx: opts.Ctx}
+	cfg := network.Config{Links: network.SingleBottleneck(c, 0), Seed: opts.Seed, Ctx: opts.Ctx}
 	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm, MSS: opts.MSS}
 	d := opts.Duration
 	from := time.Duration((1 - opts.WindowFrac) * float64(d))

@@ -132,7 +132,7 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 	res.Shaper2 = &RTTShaper{Target: res.Target2, D: spec.D, SkipUntil: skip}
 
 	n := network.New(
-		network.Config{Rate: spec.C1 + spec.C2, Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
+		network.Config{Links: network.SingleBottleneck(spec.C1+spec.C2, 0), Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
 		network.FlowSpec{
 			Name: "starved", Alg: spec.Make(conv1), Rm: spec.Rm,
 			MSS: spec.MSS, FwdJitter: res.Shaper1,
@@ -142,7 +142,7 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 			MSS: spec.MSS, FwdJitter: res.Shaper2,
 		},
 	)
-	n.Link.Prime(dStar0 - spec.Rm)
+	n.Links[0].Prime(dStar0 - spec.Rm)
 	res.TwoFlow = n.Run(spec.Duration)
 	res.Ratio = res.TwoFlow.Ratio()
 	return res
@@ -231,7 +231,7 @@ func UnderutilizationConstruction(spec UnderutilizationSpec) *UnderutilizationRe
 	shaper := &RTTShaper{Target: target, D: d}
 	big := units.Rate(float64(spec.C) * spec.Multiplier)
 	n := network.New(
-		network.Config{Rate: big, Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
+		network.Config{Links: network.SingleBottleneck(big, 0), Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
 		network.FlowSpec{
 			Name: "emulated", Alg: spec.Make(nil), Rm: spec.Rm,
 			MSS: spec.MSS, FwdJitter: shaper,

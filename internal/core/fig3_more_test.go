@@ -73,7 +73,7 @@ func TestBBRCwndLimitedEquilibrium(t *testing.T) {
 				Rng: rand.New(rand.NewSource(seed + 100))},
 		}
 	}
-	n := network.New(network.Config{Rate: c, Seed: 3}, mk(9), mk(11))
+	n := network.New(network.Config{Links: network.SingleBottleneck(c, 0), Seed: 3}, mk(9), mk(11))
 	res := n.Run(40 * time.Second)
 	t.Logf("\n%s", res)
 

@@ -11,7 +11,6 @@ import (
 	"starvation/internal/network"
 	"starvation/internal/obs"
 	"starvation/internal/runner"
-	"starvation/internal/units"
 )
 
 // PopulationConfig describes a population-scale starvation experiment: N
@@ -21,14 +20,10 @@ import (
 type PopulationConfig struct {
 	// Flows is the population (required, non-empty).
 	Flows []network.FlowSpec
-	// Links is the topology; nil selects the legacy single bottleneck
-	// built from Rate/BufferBytes.
+	// Links and Bottleneck are the topology, as in network.Config
+	// (network.SingleBottleneck for one shared link).
 	Links      []network.LinkSpec
 	Bottleneck int
-	// Rate and BufferBytes configure the single bottleneck when Links is
-	// nil (ignored otherwise).
-	Rate        units.Rate
-	BufferBytes int
 	// Seed selects the realization.
 	Seed int64
 	// Duration is the emulated run length (required, > 0).
@@ -78,7 +73,7 @@ func (r *PopulationResult) Render() string {
 
 // networkConfig assembles the network.Config one realization runs under.
 func (cfg PopulationConfig) networkConfig() network.Config {
-	ncfg := network.Config{
+	return network.Config{
 		Links:      cfg.Links,
 		Bottleneck: cfg.Bottleneck,
 		Seed:       cfg.Seed,
@@ -87,11 +82,6 @@ func (cfg PopulationConfig) networkConfig() network.Config {
 		Ctx:        cfg.Ctx,
 		Telemetry:  cfg.Telemetry,
 	}
-	if cfg.Links == nil {
-		ncfg.Rate = cfg.Rate
-		ncfg.BufferBytes = cfg.BufferBytes
-	}
-	return ncfg
 }
 
 // Validate reports the first problem with the configuration, with exactly

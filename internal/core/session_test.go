@@ -52,10 +52,9 @@ func TestPopulationSweepSessionParity(t *testing.T) {
 			}
 		}
 		return PopulationConfig{
-			Flows:       mkFlows(),
-			Rate:        units.Mbps(24),
-			BufferBytes: 64 * 1500,
-			Duration:    3 * time.Second,
+			Flows:    mkFlows(),
+			Links:    network.SingleBottleneck(units.Mbps(24), 64*1500),
+			Duration: 3 * time.Second,
 		}, nil
 	}
 	seeds := []int64{1, 4, 7, 11}

@@ -122,7 +122,7 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 		}
 		shaper := &RTTShaper{Target: target, D: time.Hour /* strong model: unbounded */}
 		n := network.New(
-			network.Config{Rate: big, Seed: 1, Ctx: spec.Ctx},
+			network.Config{Links: network.SingleBottleneck(big, 0), Seed: 1, Ctx: spec.Ctx},
 			network.FlowSpec{
 				Name: "strong", Alg: spec.Make(nil), Rm: spec.Rm,
 				MSS: spec.MSS, FwdJitter: shaper,

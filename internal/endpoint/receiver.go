@@ -68,11 +68,9 @@ type Receiver struct {
 
 // NewReceiver creates a receiver that sends ACKs to out.
 func NewReceiver(s *sim.Simulator, flow packet.FlowID, cfg AckConfig, out netem.AckHandler) *Receiver {
-	if cfg.DelayCount > 1 && cfg.DelayTimeout <= 0 {
-		cfg.DelayTimeout = 40 * time.Millisecond
-	}
-	r := &Receiver{sim: s, flow: flow, cfg: cfg, out: out, ooo: make(map[int64]int)}
+	r := &Receiver{sim: s, flow: flow, out: out, ooo: make(map[int64]int)}
 	r.flushFn = r.flush
+	r.Reset(cfg)
 	return r
 }
 

@@ -106,20 +106,15 @@ type Sender struct {
 // NewSender creates a sender for the given flow. out is the first element
 // of the forward path.
 func NewSender(s *sim.Simulator, flow packet.FlowID, alg cca.Algorithm, mss int, out netem.PacketHandler) *Sender {
-	if mss <= 0 {
-		mss = DefaultMSS
-	}
 	sn := &Sender{
-		sim:    s,
-		flow:   flow,
-		mss:    mss,
-		alg:    alg,
-		out:    out,
-		segs:   make(map[int64]*segState),
-		minRTO: DefaultMinRTO,
+		sim:  s,
+		flow: flow,
+		out:  out,
+		segs: make(map[int64]*segState),
 	}
 	sn.trySendFn = sn.trySend
 	sn.onRTOFn = sn.onRTO
+	sn.Reset(alg, mss)
 	return sn
 }
 

@@ -8,27 +8,6 @@ import (
 	"starvation/internal/sim"
 )
 
-// Propagation is a fixed delay: every packet is delivered exactly d later.
-// It models the minimum packet propagation RTT Rm of the paper (we fold the
-// whole round trip's propagation into one direction, which is equivalent
-// from the sender's point of view).
-type Propagation struct {
-	sim  *sim.Simulator
-	d    time.Duration
-	line *sim.Line[packet.Packet]
-}
-
-// NewPropagation returns a fixed-delay element.
-func NewPropagation(s *sim.Simulator, d time.Duration, out PacketHandler) *Propagation {
-	return &Propagation{sim: s, d: d, line: sim.NewLine(s, out)}
-}
-
-// Send delays p by the propagation time. A fixed delay is FIFO, so the
-// packet waits in the element's delay line, allocation-free.
-func (pr *Propagation) Send(p packet.Packet) {
-	pr.line.Push(pr.sim.Now()+pr.d, p)
-}
-
 // DelayBox is the paper's per-flow non-congestive delay element for data
 // packets: it holds each packet for a policy-chosen duration in [0, D] and
 // never reorders (release times are clamped to be monotone).
@@ -59,9 +38,10 @@ func (b *DelayBox) InTransit() int64 { return b.inTransit }
 
 // NewDelayBox returns a delay element applying the given policy.
 func NewDelayBox(s *sim.Simulator, p jitter.Policy, out PacketHandler) *DelayBox {
-	b := &DelayBox{sim: s, policy: p, out: out}
+	b := &DelayBox{sim: s, out: out}
 	b.arrivals = sim.NewLine(s, b.deliver)
 	b.releases = sim.NewLine(s, b.release)
+	b.Reset(p)
 	return b
 }
 
@@ -134,7 +114,9 @@ type AckDelayBox struct {
 
 // NewAckDelayBox returns an ACK-path delay element applying the policy.
 func NewAckDelayBox(s *sim.Simulator, p jitter.Policy, out AckHandler) *AckDelayBox {
-	return &AckDelayBox{sim: s, policy: p, releases: sim.NewLine(s, out)}
+	b := &AckDelayBox{sim: s, releases: sim.NewLine(s, out)}
+	b.Reset(p)
+	return b
 }
 
 // Reset returns the box to the state NewAckDelayBox(s, p, out) would

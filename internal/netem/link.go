@@ -76,8 +76,9 @@ type FlowLinkStats struct {
 // NewLink creates a bottleneck of the given rate and buffer size that
 // delivers departing packets to out.
 func NewLink(s *sim.Simulator, rate units.Rate, bufferBytes int, out PacketHandler) *Link {
-	l := &Link{sim: s, rate: rate, buf: bufferBytes, out: out}
+	l := &Link{sim: s, out: out}
 	l.departs = sim.NewLine(s, l.depart)
+	l.Reset(rate, bufferBytes)
 	return l
 }
 

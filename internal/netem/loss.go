@@ -25,7 +25,9 @@ type LossGate struct {
 
 // NewLossGate returns a loss element feeding out.
 func NewLossGate(p float64, rng *rand.Rand, out PacketHandler) *LossGate {
-	return &LossGate{P: p, Rng: rng, out: out}
+	g := &LossGate{Rng: rng, out: out}
+	g.Reset(p)
+	return g
 }
 
 // SetProbe installs a lifecycle-event probe; drops are reported with a

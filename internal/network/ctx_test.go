@@ -16,7 +16,7 @@ import (
 func TestConfigCtxCancelsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1, Ctx: ctx},
+		Config{Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1, Ctx: ctx},
 		FlowSpec{Name: "probe", Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond},
 	)
 	// Cancel from inside the run so the test is deterministic: the
@@ -50,7 +50,7 @@ func TestConfigCtxCancelsRun(t *testing.T) {
 func TestConfigCtxObservationOnly(t *testing.T) {
 	run := func(ctx context.Context) *Result {
 		n := New(
-			Config{Rate: units.Mbps(24), Seed: 7, Ctx: ctx},
+			Config{Links: SingleBottleneck(units.Mbps(24), 0), Seed: 7, Ctx: ctx},
 			FlowSpec{Name: "a", Alg: vegas.New(vegas.Config{}), Rm: 30 * time.Millisecond},
 			FlowSpec{Name: "b", Alg: vegas.New(vegas.Config{}), Rm: 60 * time.Millisecond},
 		)

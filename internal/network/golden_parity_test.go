@@ -47,7 +47,7 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 	return map[string]func() goldenConfig{
 		"clean": func() goldenConfig {
 			return goldenConfig{
-				cfg: Config{Rate: units.Mbps(48), BufferBytes: 64 * 1500, Seed: 7, Telemetry: tc},
+				cfg: Config{Links: SingleBottleneck(units.Mbps(48), 64*1500), Seed: 7, Telemetry: tc},
 				specs: []FlowSpec{
 					{
 						Alg:       vegas.New(vegas.Config{}),
@@ -67,7 +67,7 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 		},
 		"impaired": func() goldenConfig {
 			return goldenConfig{
-				cfg: Config{Rate: units.Mbps(24), BufferBytes: 48 * 1500, Seed: 11, Telemetry: tc},
+				cfg: Config{Links: SingleBottleneck(units.Mbps(24), 48*1500), Seed: 11, Telemetry: tc},
 				specs: []FlowSpec{
 					{
 						Alg:      vegas.New(vegas.Config{}),

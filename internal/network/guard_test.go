@@ -25,7 +25,7 @@ func TestStalledFlowTripsWatchdog(t *testing.T) {
 	blackhole.LossProb = 1
 	n := New(
 		Config{
-			Rate: units.Mbps(12), Seed: 1,
+			Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1,
 			Guard: &guard.Options{StallK: 10, CheckEvery: 100 * time.Millisecond},
 		},
 		blackhole,
@@ -61,7 +61,7 @@ func TestStalledFlowTripsWatchdog(t *testing.T) {
 // check, cutting the run short with a structured deadline error.
 func TestWallClockDeadlineHaltsRun(t *testing.T) {
 	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1, Guard: &guard.Options{WallClock: time.Nanosecond}},
+		Config{Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1, Guard: &guard.Options{WallClock: time.Nanosecond}},
 		vegasSpec("v0"),
 	)
 	res := n.Run(30 * time.Second)
@@ -87,10 +87,8 @@ func faultySpecs() (Config, []FlowSpec) {
 		Reorder:   &faults.ReorderConfig{P: 0.02, Delay: 4 * time.Millisecond},
 		Duplicate: &faults.DupConfig{P: 0.01},
 	}
-	cfg := Config{
-		Rate: units.Mbps(24), BufferBytes: 60 * 1500, Seed: 7,
-		RateSchedule: faults.Flap(3*time.Second, 100*time.Millisecond),
-	}
+	cfg := Config{Links: SingleBottleneck(units.Mbps(24), 60*1500), Seed: 7}
+	cfg.Links[0].RateSchedule = faults.Flap(3*time.Second, 100*time.Millisecond)
 	return cfg, []FlowSpec{impaired, vegasSpec("clean")}
 }
 

@@ -88,34 +88,17 @@ func (spec FlowSpec) Validate() error {
 	return nil
 }
 
-// Config describes the shared bottleneck and run parameters.
+// Config describes the topology and run parameters.
 type Config struct {
-	// Links, when non-nil, describes a multi-link topology (parking-lot
-	// chain, shared-uplink fan-in); flows pick their route with
-	// FlowSpec.Path. When nil, the legacy single-bottleneck fields below
-	// (Rate, BufferBytes, ECNThresholdBytes, Marker, RateSchedule) define
-	// the one shared link, wired exactly as before the topology layer —
-	// fixed-seed realizations are bit-identical. The two styles are
-	// mutually exclusive.
+	// Links are the topology's bottleneck links in index order (required):
+	// SingleBottleneck for the paper's one shared FIFO, or a multi-link
+	// topology (ParkingLot, FanIn) whose flows pick their route with
+	// FlowSpec.Path.
 	Links []LinkSpec
 	// Bottleneck is the index of the link reported as "the" bottleneck:
 	// Result.LinkRate, the queue-depth trace, and rate-sample events read
-	// this link (e.g. the shared uplink of a fan-in). Must be 0 when Links
-	// is nil.
+	// this link (e.g. the shared uplink of a fan-in).
 	Bottleneck int
-
-	// Rate is the bottleneck link rate C (required when Links is nil).
-	Rate units.Rate
-	// BufferBytes is the drop-tail buffer size; 0 means effectively
-	// infinite (the ideal-path queue of Definition 1).
-	BufferBytes int
-	// ECNThresholdBytes enables ECN marking above this queue depth.
-	ECNThresholdBytes int
-	// Marker installs an AQM policy (overrides ECNThresholdBytes).
-	Marker netem.Marker
-	// RateSchedule varies the bottleneck rate over the run (piecewise
-	// steps or on-off flaps); nil keeps Rate constant.
-	RateSchedule *faults.RateSchedule
 	// Guard enables the run-guard layer: periodic stall sweeps, an
 	// optional wall-clock deadline, and end-of-run conservation and
 	// counter checks, reported in Result.Guard. Nil disables the layer;
@@ -147,6 +130,8 @@ type Config struct {
 
 // Flow is the instantiated per-flow pipeline with its traces.
 type Flow struct {
+	// Spec is the flow's spec as run: a copy of the caller's with the
+	// defaults (name, jitter policies) filled in.
 	Spec     FlowSpec
 	ID       packet.FlowID
 	Sender   *endpoint.Sender
@@ -173,21 +158,51 @@ type Flow struct {
 	hopTransit int64
 }
 
+// elements is the set of optional impairment elements on a flow's forward
+// chain. It is part of the network's shape: newNetwork builds exactly
+// these elements and the session shape key records them, both from
+// elementsOf, so the two cannot disagree.
+type elements byte
+
+const (
+	hasLoss elements = 1 << iota
+	hasGE
+	hasReorder
+	hasDup
+)
+
+func elementsOf(spec FlowSpec) elements {
+	var el elements
+	if spec.LossProb > 0 {
+		el |= hasLoss
+	}
+	if fs := spec.Faults; fs != nil {
+		if fs.GE != nil {
+			el |= hasGE
+		}
+		if fs.Reorder != nil {
+			el |= hasReorder
+		}
+		if fs.Duplicate != nil {
+			el |= hasDup
+		}
+	}
+	return el
+}
+
 // Network is a fully wired scenario ready to run.
 type Network struct {
 	Sim *sim.Simulator
-	// Link is the reporting bottleneck (Links[Config.Bottleneck]); kept as
-	// a field because single-bottleneck call sites address it directly.
-	Link *netem.Link
-	// Links are all bottlenecks of the topology in index order; a classic
-	// single-bottleneck network has exactly one.
+	// Links are all bottlenecks of the topology in index order; the
+	// reporting bottleneck is Links[Config.Bottleneck].
 	Links []*netem.Link
 	Flows []*Flow
 	cfg   Config
 
-	// linkSpecs are the resolved link descriptions (legacy fields fold
-	// into a one-element slice). nextHop[j][flow] is the link a packet of
-	// the flow enters after departing link j, -1 for the Rm/jitter stage.
+	// linkSpecs are the run's link descriptions: a network-owned copy of
+	// Config.Links with the default names filled in. nextHop[j][flow] is
+	// the link a packet of the flow enters after departing link j, -1 for
+	// the Rm/jitter stage.
 	linkSpecs []LinkSpec
 	nextHop   [][]int32
 	// hops[j] carries packets departing link j across its HopDelay to
@@ -210,42 +225,38 @@ type Network struct {
 	LinkQueues []trace.Series
 }
 
-// Validate reports the first problem with the bottleneck configuration.
+// Validate reports the first problem with the topology configuration.
 func (cfg Config) Validate() error {
 	if cfg.SampleEvery < 0 {
 		return fmt.Errorf("negative sample interval %v", cfg.SampleEvery)
 	}
-	if len(cfg.Links) > 0 {
-		// Topology mode: the legacy single-bottleneck fields must stay
-		// zero so a config cannot describe two contradictory networks.
-		if cfg.Rate != 0 || cfg.BufferBytes != 0 || cfg.ECNThresholdBytes != 0 ||
-			cfg.Marker != nil || cfg.RateSchedule != nil {
-			return fmt.Errorf("Links is set: leave the legacy single-bottleneck fields (Rate, BufferBytes, ECNThresholdBytes, Marker, RateSchedule) zero and describe every link in Links")
+	if len(cfg.Links) == 0 {
+		return fmt.Errorf("no links (use SingleBottleneck for the paper's topology)")
+	}
+	if cfg.Bottleneck < 0 || cfg.Bottleneck >= len(cfg.Links) {
+		return fmt.Errorf("bottleneck index %d out of range [0, %d)", cfg.Bottleneck, len(cfg.Links))
+	}
+	for i, ls := range cfg.Links {
+		if err := ls.Validate(); err != nil {
+			return fmt.Errorf("link %d: %w", i, err)
 		}
-		if cfg.Bottleneck < 0 || cfg.Bottleneck >= len(cfg.Links) {
-			return fmt.Errorf("bottleneck index %d out of range [0, %d)", cfg.Bottleneck, len(cfg.Links))
+	}
+	return nil
+}
+
+// validate reports the first problem with a run's configuration and flow
+// specs, for NewChecked and Session.RunWindow alike.
+func validate(cfg Config, specs []FlowSpec) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("network: %w", err)
+	}
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("network: flow %d %w", i, err)
 		}
-		for i, ls := range cfg.Links {
-			if err := ls.Validate(); err != nil {
-				return fmt.Errorf("link %d: %w", i, err)
-			}
+		if err := validatePath(spec.Path, len(cfg.Links)); err != nil {
+			return fmt.Errorf("network: flow %d: %w", i, err)
 		}
-		return nil
-	}
-	if cfg.Bottleneck != 0 {
-		return fmt.Errorf("bottleneck index %d without Links", cfg.Bottleneck)
-	}
-	if cfg.Rate <= 0 {
-		return fmt.Errorf("bottleneck rate must be positive")
-	}
-	if cfg.BufferBytes < 0 {
-		return fmt.Errorf("negative buffer %d bytes", cfg.BufferBytes)
-	}
-	if cfg.ECNThresholdBytes < 0 {
-		return fmt.Errorf("negative ECN threshold %d bytes", cfg.ECNThresholdBytes)
-	}
-	if err := cfg.RateSchedule.Validate(); err != nil {
-		return fmt.Errorf("rate schedule: %w", err)
 	}
 	return nil
 }
@@ -254,19 +265,10 @@ func (cfg Config) Validate() error {
 // configuration instead of panicking — the entry point for user-supplied
 // (CLI) configs, where a typo is a runtime condition, not a bug.
 func NewChecked(cfg Config, specs ...FlowSpec) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
+	if err := validate(cfg, specs); err != nil {
+		return nil, err
 	}
-	nLinks := len(cfg.linksOf())
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("network: flow %d %w", i, err)
-		}
-		if err := validatePath(spec.Path, nLinks); err != nil {
-			return nil, fmt.Errorf("network: flow %d: %w", i, err)
-		}
-	}
-	return newNetwork(cfg, specs...), nil
+	return newNetwork(cfg, specs), nil
 }
 
 // New assembles the topology. It panics on invalid specs (missing CCA or
@@ -280,99 +282,33 @@ func New(cfg Config, specs ...FlowSpec) *Network {
 	return n
 }
 
-func newNetwork(cfg Config, specs ...FlowSpec) *Network {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 100 * time.Millisecond
-	}
-	s := sim.New(cfg.Seed)
-	if cfg.Ctx != nil {
-		s.SetContext(cfg.Ctx)
-	}
-	n := &Network{Sim: s, cfg: cfg}
+// newNetwork builds the network's shape — the links, the hop routing, and
+// each flow's element chain with the callbacks that bind them — and then
+// applies the run's parameters through reset, exactly as a session does
+// when it reuses a network of the same shape. Nothing built here depends
+// on a per-run parameter.
+func newNetwork(cfg Config, specs []FlowSpec) *Network {
+	s := sim.New(0)
+	n := &Network{Sim: s}
 	n.sampleFn = n.sample
-	if cfg.Guard != nil {
-		// The monitor taps the probe stream; read-only, so guarded and
-		// unguarded runs of the same seed stay bit-identical.
-		n.monitor = guard.NewMonitor()
-		cfg.Probe = obs.Multi(cfg.Probe, n.monitor)
-		n.cfg.Probe = cfg.Probe
-	}
-	// Flow names must be resolved before the recorder labels its flows and
-	// before any element captures the probe chain.
-	for i := range specs {
-		if specs[i].Name == "" {
-			specs[i].Name = fmt.Sprintf("flow%d", i)
-		}
-	}
-	if cfg.Telemetry != nil {
-		// The recorder folds raw events; its derived events (phases,
-		// episode boundaries) go to the pre-existing chain, so an attached
-		// JSONL trace carries them inline. Fair share reads the configured
-		// reporting-bottleneck rate — the same denominator the population
-		// statistics use.
-		var fair float64
-		if r := cfg.linksOf()[cfg.Bottleneck].Rate; r > 0 && len(specs) > 0 {
-			fair = float64(r) / float64(len(specs))
-		}
-		n.telemetry = newTelemetryRecorder(cfg.Telemetry, cfg.SampleEvery, fair, cfg.Probe, specs)
-		cfg.Probe = obs.Multi(cfg.Probe, n.telemetry)
-		n.cfg.Probe = cfg.Probe
-	}
-
-	// Each link dispatches departing packets to the owning flow's next
-	// stage: the next link of its path (after the hop propagation delay)
-	// or, past the last link, the flow's Rm/jitter stage.
-	n.linkSpecs = cfg.linksOf()
-	n.Links = make([]*netem.Link, len(n.linkSpecs))
-	n.hops = make([]*sim.Line[packet.Packet], len(n.linkSpecs))
-	n.nextHop = make([][]int32, len(n.linkSpecs))
-	for j := range n.linkSpecs {
-		ls := &n.linkSpecs[j]
-		if ls.Name == "" {
-			ls.Name = fmt.Sprintf("link%d", j)
-		}
+	nLinks := len(cfg.Links)
+	n.Links = make([]*netem.Link, nLinks)
+	n.hops = make([]*sim.Line[packet.Packet], nLinks)
+	n.nextHop = make([][]int32, nLinks)
+	for j := range n.Links {
+		// Each link dispatches departing packets to the owning flow's next
+		// stage: the next link of its path (after the hop propagation
+		// delay) or, past the last link, the flow's Rm/jitter stage.
 		j := j
-		link := netem.NewLink(s, ls.Rate, ls.BufferBytes, func(p packet.Packet) {
-			n.forward(j, p)
-		})
-		if ls.ECNThresholdBytes > 0 {
-			link.SetECNThreshold(ls.ECNThresholdBytes)
-		}
-		if ls.Marker != nil {
-			link.SetMarker(ls.Marker)
-		}
-		link.SetProbe(cfg.Probe)
-		n.Links[j] = link
-		n.ensureHop(j)
+		n.Links[j] = netem.NewLink(s, 0, 0, func(p packet.Packet) { n.forward(j, p) })
 		n.nextHop[j] = make([]int32, len(specs))
 	}
-	n.Link = n.Links[cfg.Bottleneck]
-	for j := range n.linkSpecs {
-		if sched := n.linkSpecs[j].RateSchedule; sched != nil {
-			sched.Apply(s, n.Links[j])
-		}
-	}
-	if len(n.Links) > 1 {
-		n.LinkQueues = make([]trace.Series, len(n.Links))
-		for j := range n.LinkQueues {
-			n.LinkQueues[j].Name = n.linkSpecs[j].Name + "_queue_bytes"
-		}
+	if nLinks > 1 {
+		n.LinkQueues = make([]trace.Series, nLinks)
 	}
 
 	for i, spec := range specs {
-		if spec.Name == "" {
-			spec.Name = fmt.Sprintf("flow%d", i)
-		}
-		if spec.MSS <= 0 {
-			spec.MSS = endpoint.DefaultMSS
-		}
-		if spec.FwdJitter == nil {
-			spec.FwdJitter = jitter.None{}
-		}
-		if spec.AckJitter == nil {
-			spec.AckJitter = jitter.None{}
-		}
-		f := &Flow{Spec: spec, ID: packet.FlowID(i), path: pathOf(spec, len(n.Links))}
+		f := &Flow{ID: packet.FlowID(i), path: pathOf(spec, nLinks)}
 		for pos, j := range f.path {
 			next := int32(-1)
 			if pos+1 < len(f.path) {
@@ -380,68 +316,179 @@ func newNetwork(cfg Config, specs ...FlowSpec) *Network {
 			}
 			n.nextHop[j][i] = next
 		}
-		f.RTTTrace.Name = spec.Name + "_rtt_s"
-		f.RateTrace.Name = spec.Name + "_rate_bps"
-		f.CwndTrace.Name = spec.Name + "_cwnd_bytes"
-
-		// Reverse path: ack jitter box -> sender.
-		f.AckBox = netem.NewAckDelayBox(s, spec.AckJitter, func(a packet.Ack) {
-			f.Sender.OnAck(a)
-		})
-		// Receiver feeds the ack box.
-		f.Receiver = endpoint.NewReceiver(s, f.ID, spec.Ack, f.AckBox.Send)
-		f.Receiver.Probe = cfg.Probe
-		// Forward path tail: jitter box -> receiver.
-		f.FwdBox = netem.NewDelayBox(s, spec.FwdJitter, f.Receiver.OnPacket)
+		// Reverse path: receiver -> ack jitter box -> sender. Forward path
+		// tail: jitter box -> receiver.
+		f.AckBox = netem.NewAckDelayBox(s, nil, func(a packet.Ack) { f.Sender.OnAck(a) })
+		f.Receiver = endpoint.NewReceiver(s, f.ID, endpoint.AckConfig{}, f.AckBox.Send)
+		f.FwdBox = netem.NewDelayBox(s, nil, f.Receiver.OnPacket)
 
 		// Forward path head, built back to front so packets traverse
 		// sender -> duplicator -> reorderer -> GE gate -> loss gate ->
-		// first link of the flow's path.
-		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
-		if spec.LossProb > 0 {
-			// Each gate gets an independent generator derived from the
-			// run seed so adding flows never perturbs other flows' loss.
-			gateRng := newDerivedRand(cfg.Seed, i)
-			gate := netem.NewLossGate(spec.LossProb, gateRng, intoLink)
-			gate.SetProbe(s, cfg.Probe)
-			f.gate = gate
-			intoLink = gate.Send
+		// first link of the flow's path. Each random element owns its
+		// generator; reset seeds it from the run seed.
+		var into netem.PacketHandler = n.Links[f.path[0]].Enqueue
+		el := elementsOf(spec)
+		if el&hasLoss != 0 {
+			f.gate = netem.NewLossGate(0, newRandSource(0), into)
+			into = f.gate.Send
 		}
-		if fs := spec.Faults; fs != nil {
-			// Each element draws from its own salted generator so enabling
-			// one never perturbs another's realization.
-			if fs.GE != nil {
-				ge := faults.NewGEGate(*fs.GE, newDerivedRandSalt(cfg.Seed, i, saltGE), intoLink)
-				ge.SetProbe(s, cfg.Probe)
-				f.ge = ge
-				intoLink = ge.Send
-			}
-			if fs.Reorder != nil {
-				ro := faults.NewReorderer(*fs.Reorder, newDerivedRandSalt(cfg.Seed, i, saltReorder), s, intoLink)
-				ro.SetProbe(cfg.Probe)
-				f.reorder = ro
-				intoLink = ro.Send
-			}
-			if fs.Duplicate != nil {
-				du := faults.NewDuplicator(*fs.Duplicate, newDerivedRandSalt(cfg.Seed, i, saltDup), intoLink)
-				du.SetProbe(s, cfg.Probe)
-				f.dup = du
-				intoLink = du.Send
-			}
+		if el&hasGE != 0 {
+			f.ge = faults.NewGEGate(faults.GEConfig{}, newRandSource(0), into)
+			into = f.ge.Send
 		}
-		f.Sender = endpoint.NewSender(s, f.ID, spec.Alg, spec.MSS, intoLink)
-		f.Sender.Probe = cfg.Probe
+		if el&hasReorder != 0 {
+			f.reorder = faults.NewReorderer(faults.ReorderConfig{}, newRandSource(0), s, into)
+			into = f.reorder.Send
+		}
+		if el&hasDup != 0 {
+			f.dup = faults.NewDuplicator(faults.DupConfig{}, newRandSource(0), into)
+			into = f.dup.Send
+		}
+		f.Sender = endpoint.NewSender(s, f.ID, nil, 0, into)
 		f.Sender.AckTraceHook = func(now, rtt time.Duration, acked int) {
 			if rtt > 0 {
 				f.RTTTrace.Add(now, rtt.Seconds())
 			}
 		}
+		n.Flows = append(n.Flows, f)
+	}
+	n.reset(cfg, specs)
+	return n
+}
+
+// reset applies a run's configuration to a network of its shape. It is the
+// one place a Config or FlowSpec value reaches an element: seed, context,
+// guard monitor, flight recorder and probe chain, link rates, ECN and
+// markers, rate schedules, flow specs, and the elements' random seeds.
+// The simulator resets first, which invalidates every outstanding timer
+// handle (element resets zero their handles, never cancel them), so a
+// reused network behaves bit-identically to a freshly built one; the
+// golden fresh-vs-reused parity test pins that mechanically. The caller's
+// config and specs are copied, never written.
+func (n *Network) reset(cfg Config, specs []FlowSpec) {
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = 100 * time.Millisecond
+	}
+	n.Sim.Reset(cfg.Seed)
+	if cfg.Ctx != nil {
+		n.Sim.SetContext(cfg.Ctx)
+	}
+	// Names resolve before the recorder labels its flows.
+	n.linkSpecs = append(n.linkSpecs[:0], cfg.Links...)
+	for j := range n.linkSpecs {
+		if n.linkSpecs[j].Name == "" {
+			n.linkSpecs[j].Name = fmt.Sprintf("link%d", j)
+		}
+	}
+	cfg.Links = n.linkSpecs
+	for i, f := range n.Flows {
+		f.Spec = specs[i]
+		if f.Spec.Name == "" {
+			f.Spec.Name = fmt.Sprintf("flow%d", i)
+		}
+		if f.Spec.FwdJitter == nil {
+			f.Spec.FwdJitter = jitter.None{}
+		}
+		if f.Spec.AckJitter == nil {
+			f.Spec.AckJitter = jitter.None{}
+		}
+	}
+
+	n.report = guard.Report{}
+	if cfg.Guard != nil {
+		// The monitor taps the probe stream; read-only, so guarded and
+		// unguarded runs of the same seed stay bit-identical.
+		if n.monitor == nil {
+			n.monitor = guard.NewMonitor()
+		} else {
+			n.monitor.Reset()
+		}
+		cfg.Probe = obs.Multi(cfg.Probe, n.monitor)
+	} else {
+		n.monitor = nil
+	}
+	n.telemetry = nil
+	if cfg.Telemetry != nil {
+		// Rebuilt fresh each run: the recorder is observation-only and its
+		// parameters may change freely between runs. It folds raw events;
+		// its derived events (phases, episode boundaries) go to the
+		// pre-existing chain, so an attached JSONL trace carries them
+		// inline. Fair share reads the reporting bottleneck's configured
+		// rate — the same denominator the population statistics use.
+		var fair float64
+		if len(n.Flows) > 0 {
+			fair = float64(n.linkSpecs[cfg.Bottleneck].Rate) / float64(len(n.Flows))
+		}
+		n.telemetry = newTelemetryRecorder(cfg.Telemetry, cfg.SampleEvery, fair, cfg.Probe, n.Flows)
+		cfg.Probe = obs.Multi(cfg.Probe, n.telemetry)
+	}
+	n.cfg = cfg
+
+	for j, link := range n.Links {
+		ls := &n.linkSpecs[j]
+		link.Reset(ls.Rate, ls.BufferBytes)
+		link.SetECNThreshold(ls.ECNThresholdBytes)
+		link.SetMarker(ls.Marker)
+		link.SetProbe(cfg.Probe)
+		n.ensureHop(j) // hop delays are per run, so one may appear now
+		if ls.RateSchedule != nil {
+			ls.RateSchedule.Apply(n.Sim, link)
+		}
+	}
+	n.QueueTrace.Reset()
+	for j := range n.LinkQueues {
+		n.LinkQueues[j].Reset()
+		n.LinkQueues[j].Name = n.linkSpecs[j].Name + "_queue_bytes"
+	}
+
+	for i, f := range n.Flows {
+		// f.path and n.nextHop are shape: the session key pins them equal
+		// to this config's resolved paths, as it pins which impairment
+		// elements exist.
+		spec := &f.Spec
+		f.RTTTrace.Reset()
+		f.RTTTrace.Name = spec.Name + "_rtt_s"
+		f.RateTrace.Reset()
+		f.RateTrace.Name = spec.Name + "_rate_bps"
+		f.CwndTrace.Reset()
+		f.CwndTrace.Name = spec.Name + "_cwnd_bytes"
+
+		f.AckBox.Reset(spec.AckJitter)
+		f.Receiver.Reset(spec.Ack)
+		f.Receiver.Probe = cfg.Probe
+		f.FwdBox.Reset(spec.FwdJitter)
+		// Each random element draws from its own generator, seeded from
+		// (run seed, flow, salt), so adding flows or enabling one element
+		// never perturbs another's realization.
+		if f.gate != nil {
+			f.gate.Reset(spec.LossProb)
+			f.gate.Rng.Seed(derivedSeed(cfg.Seed, i, saltGate))
+			f.gate.SetProbe(n.Sim, cfg.Probe)
+		}
+		if f.ge != nil {
+			f.ge.Reset(*spec.Faults.GE, derivedSeed(cfg.Seed, i, saltGE))
+			f.ge.SetProbe(n.Sim, cfg.Probe)
+		}
+		if f.reorder != nil {
+			f.reorder.Reset(*spec.Faults.Reorder, derivedSeed(cfg.Seed, i, saltReorder))
+			f.reorder.SetProbe(cfg.Probe)
+		}
+		if f.dup != nil {
+			f.dup.Reset(*spec.Faults.Duplicate, derivedSeed(cfg.Seed, i, saltDup))
+			f.dup.SetProbe(n.Sim, cfg.Probe)
+		}
+		// The sender's trace hook closure is shape: built once, it captures
+		// the flow (whose trace buffers are reset in place). Reset clears
+		// the field like any per-run wiring, hence the save/restore.
+		hook := f.Sender.AckTraceHook
+		f.Sender.Reset(spec.Alg, spec.MSS)
+		f.Sender.Probe = cfg.Probe
+		f.Sender.AckTraceHook = hook
+		f.rateSamples, f.lastSampledAcked, f.hopTransit = 0, 0, 0
 		if n.monitor != nil {
 			n.monitor.Track(f.ID, cfg.Guard.StallAfter(spec.Rm), spec.StartAt)
 		}
-		n.Flows = append(n.Flows, f)
 	}
-	return n
 }
 
 // ensureHop creates link j's hop delay line if the link has a hop delay
@@ -459,9 +506,8 @@ func (n *Network) ensureHop(j int) {
 
 // forward routes a packet departing link j: into the next link of the
 // flow's path (after the hop propagation delay), or — past the last link —
-// into the flow's Rm/jitter stage. On the classic single-bottleneck path
-// this reduces to afterLink with no extra events scheduled, so legacy
-// realizations are unchanged.
+// into the flow's Rm/jitter stage. On the single-bottleneck path this
+// reduces to afterLink with no extra events scheduled.
 func (n *Network) forward(j int, p packet.Packet) {
 	next := n.nextHop[j][p.Flow]
 	if next < 0 {
@@ -555,7 +601,7 @@ func (n *Network) RunWindow(d, from, to time.Duration) *Result {
 
 func (n *Network) sample() {
 	now := n.Sim.Now()
-	depth := n.Link.QueuedBytes()
+	depth := n.Links[n.cfg.Bottleneck].QueuedBytes()
 	n.QueueTrace.Add(now, float64(depth))
 	for j := range n.LinkQueues {
 		n.LinkQueues[j].Add(now, float64(n.Links[j].QueuedBytes()))
@@ -592,17 +638,8 @@ const (
 	saltDup     = 37
 )
 
-func newDerivedRand(seed int64, flow int) *randSource {
-	return newDerivedRandSalt(seed, flow, saltGate)
-}
-
-func newDerivedRandSalt(seed int64, flow int, salt int64) *randSource {
-	return newRandSource(derivedSeed(seed, flow, salt))
-}
-
-// derivedSeed is the seed of a flow element's private random stream. A
-// session reset reseeds the element's existing generator with this value,
-// which is bit-equivalent to the fresh construction above.
+// derivedSeed is the seed of a flow element's private random stream;
+// reset reseeds the element's generator with it on every run.
 func derivedSeed(seed int64, flow int, salt int64) int64 {
 	return seed*1000003 + int64(flow)*7919 + salt
 }

@@ -13,7 +13,7 @@ import (
 // rate.
 func emulatedSecond(rate units.Rate) (*Network, *Result) {
 	n := New(
-		Config{Rate: rate, Seed: 1},
+		Config{Links: SingleBottleneck(rate, 0), Seed: 1},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 	)
@@ -72,7 +72,7 @@ func BenchmarkEmulatedSecondTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := New(
-			Config{Rate: units.Mbps(100), Seed: 1, Telemetry: &TelemetryConfig{}},
+			Config{Links: SingleBottleneck(units.Mbps(100), 0), Seed: 1, Telemetry: &TelemetryConfig{}},
 			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 		)
@@ -94,7 +94,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	s := NewSession()
 	run := func(seed int64) *Result {
 		res, err := s.Run(
-			Config{Rate: units.Mbps(100), Seed: seed},
+			Config{Links: SingleBottleneck(units.Mbps(100), 0), Seed: seed},
 			time.Second,
 			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
@@ -120,7 +120,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // assembled path (sender → queue → propagation → jitter → receiver → ack).
 func BenchmarkPacketRate(b *testing.B) {
 	n := New(
-		Config{Rate: units.Gbps(1), Seed: 1},
+		Config{Links: SingleBottleneck(units.Gbps(1), 0), Seed: 1},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 10 * time.Millisecond},
 	)
 	for _, f := range n.Flows {
@@ -128,13 +128,13 @@ func BenchmarkPacketRate(b *testing.B) {
 	}
 	// Warm to steady state.
 	n.Sim.Run(2 * time.Second)
-	start := n.Link.Delivered
+	start := n.Links[0].Delivered
 	b.ResetTimer()
 	b.ReportAllocs()
 	target := 2*time.Second + time.Duration(b.N)*time.Millisecond
 	n.Sim.Run(target)
 	b.StopTimer()
-	if n.Link.Delivered == start && b.N > 1000 {
+	if n.Links[0].Delivered == start && b.N > 1000 {
 		b.Fatal("no packets flowed")
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestDeterministicRuns(t *testing.T) {
 	run := func() *Result {
 		n := New(
-			Config{Rate: units.Mbps(24), BufferBytes: 60 * 1500, Seed: 42},
+			Config{Links: SingleBottleneck(units.Mbps(24), 60*1500), Seed: 42},
 			FlowSpec{Name: "a", Alg: reno.New(reno.Config{}), Rm: 50 * time.Millisecond,
 				FwdJitter: &jitter.Uniform{Max: 3 * time.Millisecond, Rng: rand.New(rand.NewSource(9))}},
 			FlowSpec{Name: "b", Alg: vegas.New(vegas.Config{}), Rm: 70 * time.Millisecond},
@@ -38,7 +38,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestStaggeredStartConverges(t *testing.T) {
 	n := New(
-		Config{Rate: units.Mbps(24), Seed: 1},
+		Config{Links: SingleBottleneck(units.Mbps(24), 0), Seed: 1},
 		FlowSpec{Name: "early", Alg: vegas.New(vegas.Config{}), Rm: 60 * time.Millisecond},
 		FlowSpec{Name: "late", Alg: vegas.New(vegas.Config{}), Rm: 60 * time.Millisecond,
 			StartAt: 10 * time.Second},
@@ -63,23 +63,26 @@ func TestPerFlowLossGatesIndependent(t *testing.T) {
 				Rm: 40 * time.Millisecond, LossProb: 0.05,
 			})
 		}
-		n := New(Config{Rate: units.Mbps(50), Seed: 3}, specs...)
+		n := New(Config{Links: SingleBottleneck(units.Mbps(50), 0), Seed: 3}, specs...)
 		res := n.Run(5 * time.Second)
 		return res.Flows[0].Stat.SentBytes
 	}
 	// Flow 0's own gate decisions must be identical; its *behaviour* will
 	// differ because it shares the link, so compare only the gate RNG
 	// stream indirectly: same seed+index yields the same generator.
-	a := newDerivedRand(3, 0)
-	b := newDerivedRand(3, 0)
+	gateRand := func(seed int64, flow int) *randSource {
+		return newRandSource(derivedSeed(seed, flow, saltGate))
+	}
+	a := gateRand(3, 0)
+	b := gateRand(3, 0)
 	for i := 0; i < 1000; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("derived rand not deterministic")
 		}
 	}
-	c := newDerivedRand(3, 1)
+	c := gateRand(3, 1)
 	same := true
-	d := newDerivedRand(3, 0)
+	d := gateRand(3, 0)
 	for i := 0; i < 10; i++ {
 		if c.Float64() != d.Float64() {
 			same = false
@@ -96,7 +99,7 @@ func TestAckPathJitter(t *testing.T) {
 	// jitter: the sender cannot tell the difference (the paper's point).
 	mk := func(ackJitter jitter.Policy) *Result {
 		n := New(
-			Config{Rate: units.Mbps(24), Seed: 1},
+			Config{Links: SingleBottleneck(units.Mbps(24), 0), Seed: 1},
 			FlowSpec{Name: "f", Alg: vegas.New(vegas.Config{}),
 				Rm: 60 * time.Millisecond, AckJitter: ackJitter},
 		)
@@ -115,8 +118,8 @@ func TestECNThresholdMarksAndReacts(t *testing.T) {
 	// An ECN-reacting Reno on a deep queue holds the queue near the mark
 	// threshold instead of the full buffer (§6.4's direction).
 	n := New(
-		Config{Rate: units.Mbps(12), BufferBytes: 300 * 1500,
-			ECNThresholdBytes: 20 * 1500, Seed: 1},
+		Config{Links: []LinkSpec{{Rate: units.Mbps(12), BufferBytes: 300 * 1500,
+			ECNThresholdBytes: 20 * 1500}}, Seed: 1},
 		FlowSpec{Name: "ecn", Alg: reno.New(reno.Config{ReactToECN: true}),
 			Rm: 40 * time.Millisecond},
 	)
@@ -136,7 +139,7 @@ func TestECNThresholdMarksAndReacts(t *testing.T) {
 func TestRateBasedFlowNeedsNoWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := New(
-		Config{Rate: units.Mbps(24), Seed: 1},
+		Config{Links: SingleBottleneck(units.Mbps(24), 0), Seed: 1},
 		FlowSpec{Name: "pcc", Alg: vivace.New(vivace.Config{Rng: rng}),
 			Rm: 40 * time.Millisecond},
 	)
@@ -151,7 +154,7 @@ func TestManyFlowsShareFairly(t *testing.T) {
 	for i := range specs {
 		specs[i] = FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 60 * time.Millisecond}
 	}
-	n := New(Config{Rate: units.Mbps(48), Seed: 1}, specs...)
+	n := New(Config{Links: SingleBottleneck(units.Mbps(48), 0), Seed: 1}, specs...)
 	res := n.Run(60 * time.Second)
 	if j := res.Jain(); j < 0.9 {
 		t.Errorf("6-flow jain = %.3f\n%s", j, res)
@@ -169,7 +172,7 @@ func TestManyFlowsShareFairly(t *testing.T) {
 
 func TestRunWindowStats(t *testing.T) {
 	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1},
+		Config{Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1},
 		FlowSpec{Name: "f", Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 	)
 	res := n.RunWindow(10*time.Second, 8*time.Second, 10*time.Second)
@@ -191,14 +194,17 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		}()
 		fn()
 	}
-	assertPanics("zero rate", func() {
+	assertPanics("no links", func() {
 		New(Config{}, FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: time.Millisecond})
 	})
+	assertPanics("zero rate", func() {
+		New(Config{Links: SingleBottleneck(0, 0)}, FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: time.Millisecond})
+	})
 	assertPanics("missing CCA", func() {
-		New(Config{Rate: units.Mbps(1)}, FlowSpec{Rm: time.Millisecond})
+		New(Config{Links: SingleBottleneck(units.Mbps(1), 0)}, FlowSpec{Rm: time.Millisecond})
 	})
 	assertPanics("missing Rm", func() {
-		New(Config{Rate: units.Mbps(1)}, FlowSpec{Alg: vegas.New(vegas.Config{})})
+		New(Config{Links: SingleBottleneck(units.Mbps(1), 0)}, FlowSpec{Alg: vegas.New(vegas.Config{})})
 	})
 }
 
@@ -206,7 +212,7 @@ func TestDelayedAckKeepsThroughput(t *testing.T) {
 	// Delayed ACKs alone (single flow, no competition) must not tank
 	// throughput: the sender's bursts still fill the pipe.
 	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1},
+		Config{Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1},
 		FlowSpec{Name: "delack", Alg: reno.New(reno.Config{}), Rm: 50 * time.Millisecond,
 			Ack: endpoint.AckConfig{DelayCount: 4, DelayTimeout: 100 * time.Millisecond}},
 	)

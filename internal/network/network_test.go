@@ -10,7 +10,7 @@ import (
 
 func TestVegasSingleFlowIdealPath(t *testing.T) {
 	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1},
+		Config{Links: SingleBottleneck(units.Mbps(12), 0), Seed: 1},
 		FlowSpec{
 			Name: "vegas",
 			Alg:  vegas.New(vegas.Config{}),

@@ -24,7 +24,7 @@ func BenchmarkNoopProbe(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := New(
-				Config{Rate: units.Mbps(100), Seed: 1, Probe: probe},
+				Config{Links: SingleBottleneck(units.Mbps(100), 0), Seed: 1, Probe: probe},
 				FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 				FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 			)

@@ -18,11 +18,10 @@ func runInstrumented(t *testing.T, probe obs.Probe) *Result {
 	t.Helper()
 	n := New(
 		Config{
-			Rate:              units.Mbps(20),
-			BufferBytes:       20 * 1500,
-			ECNThresholdBytes: 15 * 1500,
-			Seed:              2,
-			Probe:             probe,
+			Links: []LinkSpec{{Rate: units.Mbps(20), BufferBytes: 20 * 1500,
+				ECNThresholdBytes: 15 * 1500}},
+			Seed:  2,
+			Probe: probe,
 		},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond, LossProb: 0.005},

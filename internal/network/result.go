@@ -101,6 +101,7 @@ type Result struct {
 }
 
 func (n *Network) collect(d, from, to time.Duration) *Result {
+	bottleneck := n.Links[n.cfg.Bottleneck]
 	res := &Result{
 		Duration:   d,
 		WindowFrom: from,
@@ -108,8 +109,8 @@ func (n *Network) collect(d, from, to time.Duration) *Result {
 		Flows:      make([]FlowResult, 0, len(n.Flows)),
 		QueueTrace: &n.QueueTrace,
 		LinkRate:   n.linkSpecs[n.cfg.Bottleneck].Rate,
-		Delivered:  n.Link.Delivered,
-		MaxQueue:   n.Link.MaxQueue,
+		Delivered:  bottleneck.Delivered,
+		MaxQueue:   bottleneck.MaxQueue,
 	}
 	for j, link := range n.Links {
 		lr := LinkResult{

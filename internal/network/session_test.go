@@ -15,7 +15,7 @@ import (
 // with seed and rate, for reuse-vs-fresh comparisons.
 func sessionScenario(seed int64, rate units.Rate) goldenConfig {
 	return goldenConfig{
-		cfg: Config{Rate: rate, BufferBytes: 32 * 1500, Seed: seed},
+		cfg: Config{Links: SingleBottleneck(rate, 32*1500), Seed: seed},
 		specs: []FlowSpec{
 			{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond},
 			{Alg: vegas.New(vegas.Config{}), Rm: 60 * time.Millisecond},
@@ -107,7 +107,6 @@ func TestSessionParameterChangesReset(t *testing.T) {
 func TestSessionHopDelayAppearsOnReset(t *testing.T) {
 	lot := func(hop time.Duration) goldenConfig {
 		gc := sessionScenario(5, 0)
-		gc.cfg.BufferBytes = 0
 		gc.cfg.Links = ParkingLot(2, units.Mbps(20), 32*1500, hop)
 		return gc
 	}
@@ -226,13 +225,60 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := s.Run(Config{}, time.Second); err == nil {
 		t.Error("zero config accepted")
 	}
-	if _, err := s.Run(Config{Rate: units.Mbps(10)}, time.Second,
+	if _, err := s.Run(Config{Links: SingleBottleneck(units.Mbps(10), 0)}, time.Second,
 		FlowSpec{Rm: time.Millisecond}); err == nil {
 		t.Error("flow without CCA accepted")
 	}
 	if len(s.nets) != 0 {
 		t.Errorf("invalid configs left %d cached networks", len(s.nets))
 	}
+}
+
+// TestNewLeavesCallerConfigUnchanged pins that building or resetting a
+// network never writes defaults into the caller's config: default link and
+// flow names go into network-owned copies. Two concurrent builds over one
+// shared, unnamed Links slice must therefore not race (run under -race).
+func TestNewLeavesCallerConfigUnchanged(t *testing.T) {
+	links := []LinkSpec{{Rate: units.Mbps(12), BufferBytes: 16 * 1500}}
+	specs := func() []FlowSpec {
+		return []FlowSpec{{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond}}
+	}
+	check := func(what string, fs []FlowSpec) {
+		t.Helper()
+		if links[0].Name != "" {
+			t.Errorf("%s wrote link name %q into the caller's Links", what, links[0].Name)
+		}
+		if fs[0].Name != "" {
+			t.Errorf("%s wrote flow name %q into the caller's specs", what, fs[0].Name)
+		}
+	}
+	const d = 200 * time.Millisecond
+
+	fs := specs()
+	res := New(Config{Links: links, Seed: 1}, fs...).Run(d)
+	check("New", fs)
+	if res.Links[0].Name != "link0" || res.Flows[0].Name != "flow0" {
+		t.Errorf("defaults not applied to the run: link %q, flow %q", res.Links[0].Name, res.Flows[0].Name)
+	}
+	s := NewSession()
+	for _, what := range []string{"Session.Run (build)", "Session.Run (reset)"} {
+		fs := specs()
+		if _, err := s.Run(Config{Links: links, Seed: 1}, d, fs...); err != nil {
+			t.Fatal(err)
+		}
+		check(what, fs)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			New(Config{Links: links, Seed: 1}, specs()...)
+		}()
+	}
+	wg.Wait()
+	check("concurrent New", specs())
 }
 
 // TestSessionPoolWorkersDeterministic is the concurrency property test:

@@ -9,7 +9,6 @@ import (
 	"starvation/internal/obs"
 	"starvation/internal/obs/detect"
 	"starvation/internal/obs/timeseries"
-	"starvation/internal/packet"
 	"starvation/internal/units"
 )
 
@@ -121,9 +120,9 @@ type telemetryRecorder struct {
 	self SelfStats
 }
 
-// newTelemetryRecorder builds the recorder for the given specs. fair is
+// newTelemetryRecorder builds the recorder for the given flows. fair is
 // the per-flow fair share in bit/s (bottleneck capacity / N).
-func newTelemetryRecorder(tc *TelemetryConfig, sampleEvery time.Duration, fair float64, downstream obs.Probe, specs []FlowSpec) *telemetryRecorder {
+func newTelemetryRecorder(tc *TelemetryConfig, sampleEvery time.Duration, fair float64, downstream obs.Probe, flows []*Flow) *telemetryRecorder {
 	window := tc.Window
 	if window <= 0 {
 		window = sampleEvery
@@ -134,15 +133,15 @@ func newTelemetryRecorder(tc *TelemetryConfig, sampleEvery time.Duration, fair f
 		Epsilon:   tc.Epsilon,
 		OpenAfter: tc.OpenAfter, CloseAfter: tc.CloseAfter,
 		Probe: downstream,
-	}, len(specs))
-	for i, spec := range specs {
-		r.det.Label(packet.FlowID(i), spec.Name, spec.Cohort)
+	}, len(flows))
+	for _, f := range flows {
+		r.det.Label(f.ID, f.Spec.Name, f.Spec.Cohort)
 	}
 	r.sampler = timeseries.NewSampler(timeseries.Config{
 		Stride:     window,
 		MaxWindows: tc.MaxWindows,
 		OnWindow:   r.det.Observe,
-	}, len(specs))
+	}, len(flows))
 	return r
 }
 

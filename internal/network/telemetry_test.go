@@ -24,11 +24,10 @@ func runWithTelemetry(probe obs.Probe, starve bool) *Result {
 	}
 	n := New(
 		Config{
-			Rate:        units.Mbps(20),
-			BufferBytes: 20 * 1500,
-			Seed:        2,
-			Probe:       probe,
-			Telemetry:   &TelemetryConfig{},
+			Links:     SingleBottleneck(units.Mbps(20), 20*1500),
+			Seed:      2,
+			Probe:     probe,
+			Telemetry: &TelemetryConfig{},
 		},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond, LossProb: lossProb},
@@ -110,7 +109,7 @@ func TestTelemetryResultPopulated(t *testing.T) {
 
 func defaultSampleEvery(t *testing.T) time.Duration {
 	t.Helper()
-	n := New(Config{Rate: units.Mbps(20), Seed: 1},
+	n := New(Config{Links: SingleBottleneck(units.Mbps(20), 0), Seed: 1},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond})
 	return n.cfg.SampleEvery
 }

@@ -9,10 +9,9 @@ import (
 	"starvation/internal/units"
 )
 
-// LinkSpec describes one bottleneck link of a multi-link topology. The
-// classic single-bottleneck configuration (Config.Links == nil) is the
-// degenerate case: one LinkSpec synthesized from the legacy Config fields,
-// wired exactly as before, so existing scenarios are bit-identical.
+// LinkSpec describes one bottleneck link of a topology. The paper's
+// single-bottleneck configuration is the one-element case
+// (SingleBottleneck).
 type LinkSpec struct {
 	// Name labels the link in results (defaults to "linkN").
 	Name string
@@ -53,9 +52,9 @@ func (ls LinkSpec) Validate() error {
 	return nil
 }
 
-// SingleBottleneck is the paper's topology as an explicit link list: one
-// shared FIFO. Equivalent to leaving Config.Links nil and setting the
-// legacy fields.
+// SingleBottleneck is the paper's topology as a link list: one shared
+// FIFO, named "bottleneck". Set its ECN threshold, marker, or rate
+// schedule on the returned element.
 func SingleBottleneck(rate units.Rate, bufferBytes int) []LinkSpec {
 	return []LinkSpec{{Name: "bottleneck", Rate: rate, BufferBytes: bufferBytes}}
 }
@@ -101,27 +100,12 @@ func FanInPath(flow, n int) []int {
 	return []int{flow % n, n}
 }
 
-// linksOf resolves the configured link list: the explicit Links slice, or
-// one synthesized from the legacy single-bottleneck fields.
-func (cfg Config) linksOf() []LinkSpec {
-	if len(cfg.Links) > 0 {
-		return cfg.Links
-	}
-	return []LinkSpec{{
-		Name:              "bottleneck",
-		Rate:              cfg.Rate,
-		BufferBytes:       cfg.BufferBytes,
-		ECNThresholdBytes: cfg.ECNThresholdBytes,
-		Marker:            cfg.Marker,
-		RateSchedule:      cfg.RateSchedule,
-	}}
-}
-
-// pathOf resolves a flow's path: the explicit Path, or every link in
-// index order (the single bottleneck, or the full parking-lot chain).
+// pathOf resolves a flow's path into a network-owned slice: a copy of the
+// explicit Path, or every link in index order (the single bottleneck, or
+// the full parking-lot chain).
 func pathOf(spec FlowSpec, nLinks int) []int {
 	if len(spec.Path) > 0 {
-		return spec.Path
+		return append([]int(nil), spec.Path...)
 	}
 	path := make([]int, nLinks)
 	for i := range path {

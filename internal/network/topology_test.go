@@ -10,32 +10,36 @@ import (
 	"starvation/internal/units"
 )
 
-// TestExplicitSingleLinkMatchesLegacy pins the degenerate topology: one
-// explicit LinkSpec must produce the same realization as the legacy
-// single-bottleneck fields (same rates, buffers, seed).
-func TestExplicitSingleLinkMatchesLegacy(t *testing.T) {
+// TestSingleBottleneckMatchesUnnamedLink pins that a link's name is only a
+// label: SingleBottleneck ("bottleneck") and an unnamed LinkSpec (named
+// "link0" by default) of the same rate and buffer produce the same
+// realization.
+func TestSingleBottleneckMatchesUnnamedLink(t *testing.T) {
 	specs := func() []FlowSpec {
 		return []FlowSpec{
 			{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond},
 			{Alg: reno.New(reno.Config{}), Rm: 80 * time.Millisecond, StartAt: 200 * time.Millisecond},
 		}
 	}
-	legacy := New(Config{Rate: units.Mbps(24), BufferBytes: 32 * 1500, Seed: 3}, specs()...).Run(4 * time.Second)
-	explicit := New(Config{
+	named := New(Config{Links: SingleBottleneck(units.Mbps(24), 32*1500), Seed: 3}, specs()...).Run(4 * time.Second)
+	unnamed := New(Config{
 		Links: []LinkSpec{{Rate: units.Mbps(24), BufferBytes: 32 * 1500}},
 		Seed:  3,
 	}, specs()...).Run(4 * time.Second)
-	for i := range legacy.Flows {
-		lw, ew := legacy.Flows[i].Stat.AckedBytes, explicit.Flows[i].Stat.AckedBytes
-		if lw != ew {
-			t.Errorf("flow %d: acked bytes diverge: legacy %d, explicit single link %d", i, lw, ew)
+	if named.Links[0].Name != "bottleneck" || unnamed.Links[0].Name != "link0" {
+		t.Errorf("link names %q, %q; want bottleneck, link0", named.Links[0].Name, unnamed.Links[0].Name)
+	}
+	for i := range named.Flows {
+		nw, uw := named.Flows[i].Stat.AckedBytes, unnamed.Flows[i].Stat.AckedBytes
+		if nw != uw {
+			t.Errorf("flow %d: acked bytes diverge: named %d, unnamed %d", i, nw, uw)
 		}
 	}
-	if legacy.Dropped != explicit.Dropped {
-		t.Errorf("drops diverge: legacy %d, explicit %d", legacy.Dropped, explicit.Dropped)
+	if named.Dropped != unnamed.Dropped {
+		t.Errorf("drops diverge: named %d, unnamed %d", named.Dropped, unnamed.Dropped)
 	}
-	if legacy.Obs.Global != explicit.Obs.Global {
-		t.Errorf("global counters diverge:\nlegacy   %+v\nexplicit %+v", legacy.Obs.Global, explicit.Obs.Global)
+	if named.Obs.Global != unnamed.Obs.Global {
+		t.Errorf("global counters diverge:\nnamed   %+v\nunnamed %+v", named.Obs.Global, unnamed.Obs.Global)
 	}
 }
 
@@ -159,11 +163,11 @@ func TestPathValidation(t *testing.T) {
 			t.Errorf("%s: NewChecked accepted path %v", tc.name, tc.path)
 		}
 	}
-	// Legacy fields and Links are mutually exclusive.
-	if _, err := NewChecked(Config{Rate: units.Mbps(10), Links: links}, base); err == nil {
-		t.Error("NewChecked accepted both legacy Rate and Links")
+	// A network needs links, and its reporting bottleneck must be one.
+	if _, err := NewChecked(Config{}, base); err == nil {
+		t.Error("NewChecked accepted a config without links")
 	}
-	if _, err := NewChecked(Config{Rate: units.Mbps(10), Bottleneck: 1}, base); err == nil {
-		t.Error("NewChecked accepted Bottleneck without Links")
+	if _, err := NewChecked(Config{Links: SingleBottleneck(units.Mbps(10), 0), Bottleneck: 1}, base); err == nil {
+		t.Error("NewChecked accepted Bottleneck out of range")
 	}
 }

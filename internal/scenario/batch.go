@@ -86,10 +86,6 @@ func (s PopulationSpec) Config() (core.PopulationConfig, error) {
 		Duration:   s.Duration,
 		Epsilon:    s.Epsilon,
 	}
-	if topo.Links == nil {
-		cfg.Rate = units.Mbps(s.RateMbps)
-		cfg.BufferBytes = s.BufferPkts * endpoint.DefaultMSS
-	}
 	return cfg, nil
 }
 

@@ -22,6 +22,8 @@ func TestPopulationSpecValidateStrings(t *testing.T) {
 		{"bad count", PopulationSpec{Flows: "reno*0"}, "count"},
 		{"bad key", PopulationSpec{Flows: "reno:wat=1"}, "wat"},
 		{"too many flows", PopulationSpec{Flows: "reno*4096;vegas*2"}, "population exceeds"},
+		{"negative rate", PopulationSpec{Flows: "reno*2", RateMbps: -5},
+			"population: network: link 0: link rate must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -58,11 +60,11 @@ func TestPopulationSpecDefaults(t *testing.T) {
 	if cfg.Duration != DefaultPopulationDuration {
 		t.Fatalf("default duration %v, want %v", cfg.Duration, DefaultPopulationDuration)
 	}
-	if cfg.Links != nil {
-		t.Fatalf("default topology is not the single bottleneck")
+	if len(cfg.Links) != 1 || cfg.Links[0].Name != "bottleneck" {
+		t.Fatalf("default topology %+v is not the single bottleneck", cfg.Links)
 	}
-	if cfg.Rate.BitsPerSec() != 48e6 {
-		t.Fatalf("default rate %v, want 48 Mbit/s", cfg.Rate)
+	if cfg.Links[0].Rate.BitsPerSec() != 48e6 {
+		t.Fatalf("default rate %v, want 48 Mbit/s", cfg.Links[0].Rate)
 	}
 }
 

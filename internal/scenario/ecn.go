@@ -26,20 +26,12 @@ func ECNAvoidsStarvation(o Opts) *Result {
 		mk := func() *reno.Reno {
 			return reno.New(reno.Config{ReactToECN: ecn, LossBlind: ecn})
 		}
-		res := o.emulate(
-			network.Config{
-				Rate:        units.Mbps(48),
-				BufferBytes: 400 * 1500,
-				Marker: &netem.REDMarker{
-					MinBytes: 20 * 1500, MaxBytes: 80 * 1500, MaxP: 0.2,
-					Rng: rand.New(rand.NewSource(o.Seed*31 + 5)),
-				},
-				Seed:      o.Seed,
-				Probe:     o.Probe,
-				Guard:     o.Guard,
-				Ctx:       o.Ctx,
-				Telemetry: o.Telemetry,
-			},
+		links := network.SingleBottleneck(units.Mbps(48), 400*1500)
+		links[0].Marker = &netem.REDMarker{
+			MinBytes: 20 * 1500, MaxBytes: 80 * 1500, MaxP: 0.2,
+			Rng: rand.New(rand.NewSource(o.Seed*31 + 5)),
+		}
+		res := o.emulate(links,
 			network.FlowSpec{
 				Name: "lossy", Alg: mk(), Rm: 40 * time.Millisecond,
 				LossProb: 0.01,

@@ -155,9 +155,8 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 type Topology struct {
 	// Kind is "single", "parkinglot" or "fanin".
 	Kind string
-	// Links is nil for "single": the network then uses the legacy
-	// single-bottleneck wiring, which existing scenarios depend on being
-	// bit-identical.
+	// Links are the topology's links (network.SingleBottleneck for
+	// "single").
 	Links []network.LinkSpec
 	// Bottleneck is the index of the link reported as the bottleneck.
 	Bottleneck int
@@ -195,7 +194,7 @@ func ParseTopology(spec string, rate units.Rate, bufferBytes int) (*Topology, er
 		if hasArg {
 			return nil, fmt.Errorf("topology %q: single takes no argument", spec)
 		}
-		return &Topology{Kind: "single"}, nil
+		return &Topology{Kind: "single", Links: network.SingleBottleneck(rate, bufferBytes)}, nil
 	case "parkinglot":
 		if !hasArg {
 			return nil, fmt.Errorf("topology %q: want parkinglot:<hops>", spec)

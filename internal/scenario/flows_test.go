@@ -98,7 +98,8 @@ func TestParseTopology(t *testing.T) {
 	rate, buf := units.Mbps(20), 64*endpoint.DefaultMSS
 
 	single, err := ParseTopology("single", rate, buf)
-	if err != nil || single.Links != nil || single.Bottleneck != 0 {
+	if err != nil || len(single.Links) != 1 || single.Links[0].Rate != rate ||
+		single.Links[0].BufferBytes != buf || single.Bottleneck != 0 {
 		t.Fatalf("single: %+v, %v", single, err)
 	}
 	if dflt, err := ParseTopology("", rate, buf); err != nil || dflt.Kind != "single" {

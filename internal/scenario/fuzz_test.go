@@ -40,9 +40,6 @@ func FuzzParseFlows(f *testing.F) {
 			t.Fatalf("flows %q: accepted %d flows", flowsSpec, len(specs))
 		}
 		nLinks := len(topo.Links)
-		if nLinks == 0 {
-			nLinks = 1 // legacy single bottleneck
-		}
 		for i, s := range specs {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("flows %q: accepted spec %d yet invalid: %v", flowsSpec, i, err)
@@ -75,10 +72,6 @@ func FuzzParseFlows(f *testing.F) {
 		// does not spend its budget building 4096-flow networks).
 		if len(specs) <= 64 && pathsInRange(specs, nLinks) {
 			cfg := network.Config{Links: topo.Links, Bottleneck: topo.Bottleneck}
-			if topo.Links == nil {
-				cfg.Rate = units.Mbps(10)
-				cfg.BufferBytes = 16 * endpoint.DefaultMSS
-			}
 			if _, err := network.NewChecked(cfg, specs...); err != nil {
 				t.Fatalf("flows %q / topo %q: parsed but unconstructable: %v", flowsSpec, topoSpec, err)
 			}

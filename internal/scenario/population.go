@@ -66,10 +66,6 @@ func runPopulationParams(p popParams, o Opts) *Result {
 		Telemetry:  o.Telemetry,
 		Session:    o.Session,
 	}
-	if topo.Links == nil {
-		cfg.Rate = units.Mbps(p.rateMbps)
-		cfg.BufferBytes = p.bufferPkts * endpoint.DefaultMSS
-	}
 	pr, err := core.RunPopulation(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("scenario %s: %v", p.id, err))

@@ -8,6 +8,7 @@ import (
 
 	"starvation/internal/core"
 	"starvation/internal/guard"
+	"starvation/internal/network"
 	"starvation/internal/units"
 )
 
@@ -102,10 +103,9 @@ func TestThousandFlowSweepUnderRunnerPool(t *testing.T) {
 			return core.PopulationConfig{}, err
 		}
 		return core.PopulationConfig{
-			Flows:       specs,
-			Rate:        units.Mbps(300),
-			BufferBytes: 1024 * 1500,
-			Duration:    3 * time.Second,
+			Flows:    specs,
+			Links:    network.SingleBottleneck(units.Mbps(300), 1024*1500),
+			Duration: 3 * time.Second,
 		}, nil
 	}
 	results, err := core.PopulationSweep(context.Background(), []int64{2, 3}, 2, rebuild)

@@ -108,11 +108,14 @@ func (o *Opts) fill(defaultDur time.Duration) {
 	}
 }
 
-// emulate runs one network for o.Duration — through o.Session when set
-// (recycling its arenas), through a throwaway network otherwise. Scenario
-// configurations are compile-time constants, so a validation failure is a
-// programming error and panics exactly like network.New would.
-func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Result {
+// emulate runs one network over links for o.Duration, with the run
+// parameters (seed, probe, guard, context, telemetry) taken from o —
+// through o.Session when set (recycling its arenas), through a throwaway
+// network otherwise. Scenario configurations are compile-time constants,
+// so a validation failure is a programming error and panics exactly like
+// network.New would.
+func (o Opts) emulate(links []network.LinkSpec, specs ...network.FlowSpec) *network.Result {
+	cfg := network.Config{Links: links, Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry}
 	if o.Session != nil {
 		res, err := o.Session.Run(cfg, o.Duration, specs...)
 		if err != nil {

@@ -201,6 +201,8 @@ func TestServiceBadRequest(t *testing.T) {
 			`job "job-000": ` + specErr(scenario.PopulationSpec{Flows: "reno*2", Topology: "ring:4"})},
 		{"empty flows", `{"jobs":[{"flows":""}]}`,
 			`job "job-000": ` + specErr(scenario.PopulationSpec{Flows: ""})},
+		{"negative rate", `{"jobs":[{"flows":"reno*2","rate_mbps":-5}]}`,
+			`job "job-000": ` + specErr(scenario.PopulationSpec{Flows: "reno*2", RateMbps: -5})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
